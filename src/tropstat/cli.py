@@ -250,6 +250,8 @@ def cmd_svm(args):
             raise CliError(str(exc), EXIT_NOT_SEPARABLE)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_BAD_PARAM)
+        except RuntimeError as exc:
+            raise CliError(str(exc), EXIT_SOLVER)
         if args.model_out:
             save_model(model, args.model_out)
         result = model_to_dict(model)
@@ -266,9 +268,9 @@ def cmd_svm(args):
         model = load_model(args.model)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"bad model file: {exc}", EXIT_PARSE)
-    if model.omega.dim != len(read_points(args.data, args.header)[0]):
-        raise CliError("model and data dimensions differ", EXIT_DIMENSION)
     rows = read_points(args.data, args.header)
+    if model.omega.dim != len(rows[0]):
+        raise CliError("model and data dimensions differ", EXIT_DIMENSION)
     labels = [classify(model, TropicalPoint(tuple(r))) for r in rows]
     for label in labels:
         print(label)
@@ -316,12 +318,14 @@ def cmd_tree(args):
         newicks = []
         for lineno, row in enumerate(rows, start=1):
             u = _row_to_map(row, lineno)
-            if not three_point_check(u, tol=args.tol):
+            try:
+                tree = ultrametric_to_tree(u, tol=args.tol)
+            except ValueError:
                 raise CliError(
                     f"row {lineno} fails the three-point condition",
                     EXIT_NOT_ULTRAMETRIC,
                 )
-            newicks.append(serialize_newick(ultrametric_to_tree(u, tol=args.tol)))
+            newicks.append(serialize_newick(tree))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(newicks) + "\n")

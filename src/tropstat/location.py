@@ -61,28 +61,38 @@ def frechet_objective(z: TropicalPoint, sample: Sequence[TropicalPoint]) -> floa
 
 
 def build_fw_lp(sample: Sequence[TropicalPoint]) -> LinearProgram:
-    """The Fermat-Weber LP: minimize sum d_i over y_j - y_k - d_i <= v_j - v_k.
+    """The compact Fermat-Weber LP: minimize sum (a_i - b_i) over free y, a, b
+    subject to b_i <= y_j - v_ij <= a_i.
 
-    One row per sample point and ordered coordinate pair (j, k), j != k;
-    the y variables are free, the distance bounds d_i are nonnegative.
+    At the optimum a_i - b_i is the tropical distance from y to v_i.  There
+    are 2 rows per sample point and coordinate (2*s*e rows, e + 2*s
+    variables), the formulation of Lin & Yoshida, *Tropical Fermat-Weber
+    points* (2018).
     """
     V = _sample_arrays(sample)
+    return _fw_lp(V, np.eye(V.shape[1]))
+
+
+def _fw_lp(V: np.ndarray, Y: np.ndarray, extra=()) -> LinearProgram:
+    """The compact FW LP with y = Y @ u over free variables u, a, b.
+
+    The s*e upper-bound rows y_j - a_i <= v_ij (point-major) come first,
+    then the s*e lower-bound rows b_i - y_j <= -v_ij, then the rows in
+    extra, given over u alone.  Row order steers Bland's rule to one of
+    the optimal vertices: with the upper-bound block first, the plain
+    vertex was ultrametric on every seeded tree sample tried, so the cone
+    refinement seldom has to run.
+    """
     s, e = V.shape
-    nvars = e + s
-    objective = [0.0] * e + [1.0] * s
-    constraints = []
-    for i in range(s):
-        for j in range(e):
-            for k in range(e):
-                if j == k:
-                    continue
-                row = [0.0] * nvars
-                row[j] += 1.0
-                row[k] -= 1.0
-                row[e + i] = -1.0
-                constraints.append((row, "<=", float(V[i, j] - V[i, k])))
-    bounds = [(None, None)] * e + [(0.0, None)] * s
-    return LinearProgram(MIN, objective, constraints, bounds)
+    Yrep = np.tile(Y, (s, 1))
+    point = np.repeat(np.eye(s), e, axis=0)
+    zero = np.zeros_like(point)
+    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point])])
+    rhs = np.concatenate([V.ravel(), -V.ravel()])
+    constraints = [(r, "<=", b) for r, b in zip(rows.tolist(), rhs.tolist())]
+    constraints += [(list(r) + [0.0] * (2 * s), "<=", float(b)) for r, b in extra]
+    objective = [0.0] * Y.shape[1] + [1.0] * s + [-1.0] * s
+    return LinearProgram(MIN, objective, constraints)
 
 
 def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
@@ -102,7 +112,7 @@ def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
     raw = tuple(float(v) for v in sol.x[:e])
     opt = float(sol.objective_value)
     diagnostics = {"raw_point": raw, "lp_status": sol.status,
-                   "n_constraints": s * e * (e - 1), "closure_refined": False}
+                   "n_constraints": 2 * s * e, "closure_refined": False}
     refined = _refine_to_ultrametric(V, raw, opt)
     if refined is not None:
         raw = refined
@@ -191,29 +201,17 @@ def _cone_fw_lp(V, merge_of_pair, edges, n_nodes, n):
     """The FW LP with y_p = 2 * height(lca of pair p) for a fixed topology."""
     from itertools import combinations
 
-    s, e = V.shape
-    nvars = n_nodes + s
-    objective = [0.0] * n_nodes + [1.0] * s
-    pairs = list(combinations(range(1, n + 1), 2))
-    node_of = [merge_of_pair[p] for p in pairs]
-    cons = []
-    for i in range(s):
-        for j in range(e):
-            for k in range(e):
-                if j == k:
-                    continue
-                row = [0.0] * nvars
-                row[node_of[j]] += 2.0
-                row[node_of[k]] -= 2.0
-                row[n_nodes + i] = -1.0
-                cons.append((row, "<=", float(V[i, j] - V[i, k])))
+    e = V.shape[1]
+    node_of = [merge_of_pair[p] for p in combinations(range(1, n + 1), 2)]
+    Y = np.zeros((e, n_nodes))
+    Y[np.arange(e), node_of] = 2.0
+    extra = []
     for child, parent in edges:
-        row = [0.0] * nvars
+        row = [0.0] * n_nodes
         row[child] = 1.0
         row[parent] = -1.0
-        cons.append((row, "<=", 0.0))
-    bounds = [(None, None)] * n_nodes + [(0.0, None)] * s
-    return LinearProgram(MIN, objective, cons, bounds), node_of
+        extra.append((row, 0.0))
+    return _fw_lp(V, Y, extra), node_of
 
 
 def frechet_mean(

@@ -178,7 +178,7 @@ def solve_lp(lp: LinearProgram) -> Solution:
         # Phase 1: minimize sum of artificials.
         cost = np.zeros(ntot)
         cost[total:] = 1.0
-        status = _simplex(T, basis, cost, allow=range(ntot))
+        status = _simplex(T, basis, cost, ntot)
         if status == UNBOUNDED:  # cannot happen for phase 1
             return Solution(INFEASIBLE, None, None)
         if _objective_of(T, basis, cost) > FEAS_TOL:
@@ -186,21 +186,17 @@ def solve_lp(lp: LinearProgram) -> Solution:
         # Drive remaining artificials out of the basis.
         for i in range(m):
             if basis[i] >= total:
-                piv = None
-                for j in range(total):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        piv = j
-                        break
-                if piv is None:
+                nz = (np.abs(T[i, :total]) > PIVOT_TOL).nonzero()[0]
+                if nz.size == 0:
                     T[i, :] = 0.0  # redundant row
                 else:
-                    _pivot(T, basis, i, piv)
+                    _pivot(T, basis, i, int(nz[0]))
         # Freeze artificial columns at zero.
         T[:, total:ntot] = 0.0
 
     cost = np.zeros(ntot)
     cost[:total] = np.concatenate([c, np.zeros(m)])
-    status = _simplex(T, basis, cost, allow=range(total))
+    status = _simplex(T, basis, cost, total)
     if status == UNBOUNDED:
         return Solution(UNBOUNDED, None, None)
 
@@ -231,43 +227,39 @@ def _objective_of(T, basis, cost) -> float:
 
 
 def _pivot(T, basis, row, col):
+    """Gauss-Jordan pivot on T[row, col]; rows with a zero in the pivot
+    column are skipped, the rest take one multiply-subtract per element."""
     T[row, :] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i, :] -= T[i, col] * T[row, :]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    T[rows] -= np.outer(factors[rows], T[row])
     basis[row] = col
 
 
-def _simplex(T, basis, cost, allow) -> str:
-    """Minimize cost over the tableau with Bland's rule."""
-    m = T.shape[0]
-    allow = list(allow)
+def _simplex(T, basis, cost, k: int) -> str:
+    """Minimize cost over the tableau's first k columns with Bland's rule."""
     while True:
         # Reduced costs: c_j - c_B . B^-1 A_j
-        cb = np.array([cost[basis[i]] for i in range(m)])
-        red = cost[allow] - cb @ T[:, allow]
-        entering = None
-        for idx, j in enumerate(allow):
-            if red[idx] < -PIVOT_TOL:
-                entering = j
-                break  # Bland: smallest eligible index
-        if entering is None:
+        red = cost[:k] - cost[basis] @ T[:, :k]
+        eligible = (red < -PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
             return OPTIMAL
+        entering = int(eligible[0])  # Bland: smallest eligible index
         col = T[:, entering]
+        cand = (col > PIVOT_TOL).nonzero()[0]
+        if cand.size == 0:
+            return UNBOUNDED
         best_ratio = None
         leaving = None
-        for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - PIVOT_TOL
-                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving is None:
-            return UNBOUNDED
+        for i, ratio in zip(cand.tolist(), (T[cand, -1] / col[cand]).tolist()):
+            if (
+                best_ratio is None
+                or ratio < best_ratio - PIVOT_TOL
+                or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = i
         _pivot(T, basis, leaving, entering)
 
 

@@ -196,8 +196,8 @@ def train_hard(sample: LabeledSample, tol: float = SEP_TOL) -> SvmModel:
 def train_soft(sample: LabeledSample, C: float) -> SvmModel:
     """Best class-level assignment by the slack-penalized objective."""
     _check_classes(sample)
-    if C < 0:
-        raise ValueError("C must be nonnegative")
+    if not C > 0:
+        raise ValueError(f"C must be positive, got {C}")
     e = sample.dim
     n = len(sample.points)
     best = None
@@ -209,8 +209,8 @@ def train_soft(sample: LabeledSample, C: float) -> SvmModel:
         if best is None or obj > best[0] + SEP_TOL:
             best = (obj, asg, sol.x)
     if best is None:
-        raise RuntimeError("every soft-margin LP failed; C = 0 makes the "
-                           "objective unbounded")
+        raise RuntimeError(f"every soft-margin LP is unbounded at C = {C}: "
+                           "the slack penalty is too small to bound the margin")
     obj, asg, x = best
     alpha = x[e + 1 : e + 1 + n]
     beta = x[e + 1 + n : e + 1 + 2 * n]

@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from tropstat import cli
 from tropstat.cli import main
 from tropstat import SimConfig, cophenetic, make_two_class_sample, simulate_equidistant
 
@@ -92,8 +93,23 @@ class TestExitCodes:
     def test_not_ultrametric_is_7(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3\n")
-        code, _ = run(capsys, "tree", "ultra2newick", str(bad))
+        code, out = run(capsys, "tree", "ultra2newick", str(bad))
         assert code == 7
+        assert envelope_of(out)["result"]["message"] == (
+            "row 1 fails the three-point condition"
+        )
+
+    @pytest.mark.parametrize(
+        "C, code, text",
+        [("0", 5, "C must be positive"), ("-1", 5, "C must be positive"),
+         ("0.01", 4, "unbounded at C = 0.01")],
+    )
+    def test_soft_svm_bad_C(self, capsys, tmp_path, C, code, text):
+        data = tmp_path / "s.csv"
+        data.write_text("0,1,2,0\n0,2,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n")
+        got, out = run(capsys, "svm", "train", str(data), "--mode", "soft", f"--C={C}")
+        assert got == code
+        assert text in envelope_of(out)["result"]["message"]
 
 
 class TestLocationCommands:
@@ -173,6 +189,18 @@ class TestSvmCommands:
         assert code == 0
         labels = [ln for ln in out.strip().splitlines() if ln in ("0", "1")]
         assert labels == ["0"] * 5 + ["1"] * 5
+
+    def test_predict_reads_data_once(self, capsys, tmp_path, train_csv, monkeypatch):
+        model_path = tmp_path / "model.json"
+        run(capsys, "svm", "train", str(train_csv), "--model-out", str(model_path))
+        read = []
+        real = cli.read_points
+        monkeypatch.setattr(cli, "read_points", lambda *a: read.append(a) or real(*a))
+        pred_csv = tmp_path / "pred.csv"
+        pred_csv.write_text("0,1,1,1,1,1\n")
+        code, _ = run(capsys, "svm", "predict", str(pred_csv), "--model", str(model_path))
+        assert code == 0
+        assert len(read) == 1
 
 
 class TestTreeCommands:

@@ -13,7 +13,36 @@ from tropstat import (
     three_point_check,
     trop_distance,
 )
-from conftest import grid_minimum, lattice_points_3d, ultrametric_points
+from tropstat.location import _refine_to_ultrametric
+from conftest import (
+    FIG_LEFT_VECTOR,
+    FIG_RIGHT_VECTOR,
+    grid_minimum,
+    lattice_points_3d,
+    ultrametric_points,
+)
+
+
+def highs_fw_optimum(sample) -> float:
+    """FW optimum from scipy's HiGHS on the pairwise formulation:
+    minimize sum d_i subject to y_j - y_k - d_i <= v_ij - v_ik."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    V = np.array([p.coords for p in sample])
+    s, e = V.shape
+    rows, rhs = [], []
+    for i in range(s):
+        for j in range(e):
+            for k in range(e):
+                if j != k:
+                    row = np.zeros(e + s)
+                    row[j], row[k], row[e + i] = 1.0, -1.0, -1.0
+                    rows.append(row)
+                    rhs.append(V[i, j] - V[i, k])
+    c = np.concatenate([np.zeros(e), np.ones(s)])
+    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=[(None, None)] * e + [(0.0, None)] * s, method="highs")
+    assert res.status == 0
+    return float(res.fun)
 
 
 class TestFermatWeber:
@@ -44,6 +73,13 @@ class TestFermatWeber:
             res = fermat_weber(sample)
             oracle = grid_minimum(sample, lambda d: d, lo=-4, hi=4)
             assert res.objective == pytest.approx(oracle, abs=1e-3)
+
+    @pytest.mark.parametrize("n_leaves, seed, count", [(4, 41, 12), (5, 42, 8), (6, 43, 5)])
+    def test_matches_highs(self, n_leaves, seed, count):
+        sample = ultrametric_points(n_leaves, seed, count)
+        res = fermat_weber(sample)
+        assert res.diagnostics["n_constraints"] == 2 * count * len(sample[0].coords)
+        assert res.objective == pytest.approx(highs_fw_optimum(sample), abs=1e-7)
 
     def test_no_sample_point_beats_optimum(self):
         sample = ultrametric_points(5, 13, 8)
@@ -82,6 +118,21 @@ class TestUltrametricClosure:
         assert fw_objective(res.point, sample) == pytest.approx(
             res.objective, abs=1e-6
         )
+
+    def test_refinement_of_non_ultrametric_optimum(self):
+        # For two points every classical convex combination z satisfies
+        # d(u, z) + d(z, v) = d(u, v), so the midpoint of two ultrametrics
+        # with different topologies is optimal but not ultrametric.
+        u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
+        sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
+        raw = tuple((u + v) / 2)
+        opt = trop_distance(*sample)
+        assert not three_point_check(raw, tol=1e-9)
+        assert fw_objective(TropicalPoint(raw), sample) == pytest.approx(opt, abs=1e-12)
+        refined = _refine_to_ultrametric(np.array([u, v]), raw, opt)
+        assert refined is not None
+        assert three_point_check(refined, tol=1e-9)
+        assert fw_objective(TropicalPoint(refined), sample) == pytest.approx(opt, abs=1e-7)
 
     def test_records_both_representatives(self):
         sample = ultrametric_points(4, 105, 5)

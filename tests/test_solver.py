@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tropstat import DescentConfig, LinearProgram, minimize_convex, solve_lp
-from tropstat.solver import INFEASIBLE, MAX, MIN, OPTIMAL, UNBOUNDED
+from tropstat.solver import INFEASIBLE, MAX, MIN, OPTIMAL, UNBOUNDED, _pivot
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -188,6 +188,24 @@ class TestBasics:
                     assert lhs >= rhs - 1e-7
                 else:
                     assert abs(lhs - rhs) <= 1e-7
+
+
+    def test_pivot_matches_row_by_row_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            T = rng.normal(size=(12, 9))
+            T[rng.random(T.shape) < 0.5] = 0.0
+            row, col = int(rng.integers(12)), int(rng.integers(8))
+            T[row, col] = rng.uniform(0.5, 2.0)
+            ref = T.copy()
+            ref[row, :] /= ref[row, col]
+            for i in range(12):
+                if i != row and ref[i, col] != 0.0:
+                    ref[i, :] -= ref[i, col] * ref[row, :]
+            basis = list(range(12))
+            _pivot(T, basis, row, col)
+            assert np.array_equal(T, ref)
+            assert basis[row] == col
 
 
 class TestExactOracle:
