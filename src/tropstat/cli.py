@@ -41,6 +41,8 @@ from .svm import (
 from .treeio import (
     DissimilarityMap,
     NewickError,
+    _leaf_names,
+    _leaves_for,
     cophenetic,
     parse_newick,
     serialize_newick,
@@ -95,13 +97,17 @@ def emit(command, result, diagnostics=None, seed=None, status="ok", quiet=False)
 
 def parse_vector(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",")]
+        vec = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise CliError(f"bad inline vector {text!r}: {exc}", EXIT_PARSE)
+    if not np.isfinite(vec).all():
+        raise CliError(f"bad inline vector {text!r}: non-finite value", EXIT_PARSE)
+    return vec
 
 
 def read_points(path: str, header: bool) -> list[list[float]]:
     rows = []
+    linenos = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -114,6 +120,7 @@ def read_points(path: str, header: bool) -> list[list[float]]:
                     rows.append([float(cell) for cell in row])
                 except ValueError as exc:
                     raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
+                linenos.append(lineno)
                 if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
                     raise CliError(
                         f"{path}:{lineno}: ragged row ({len(rows[-1])} cells, "
@@ -124,6 +131,9 @@ def read_points(path: str, header: bool) -> list[list[float]]:
         raise CliError(str(exc), EXIT_PARSE)
     if not rows:
         raise CliError(f"{path}: no data rows", EXIT_PARSE)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise CliError(f"{path}:{linenos[finite.argmin()]}: non-finite value", EXIT_PARSE)
     return rows
 
 
@@ -202,7 +212,7 @@ def cmd_pca(args):
     pts = _points(rows)
     if not (1 <= args.s <= len(pts)):
         raise CliError(f"s={args.s} out of range 1..{len(pts)}", EXIT_BAD_PARAM)
-    model = fit_principal_polytope(pts, args.s, seed=args.seed or 0)
+    model = fit_principal_polytope(pts, args.s)
     result = {
         "vertices": [list(v.coords) for v in model.polytope.vertices],
         "vertex_indices": list(model.vertex_indices),
@@ -380,16 +390,14 @@ def cmd_tree(args):
 
 
 def _row_to_map(row, lineno):
-    e = len(row)
-    n = round((1 + (1 + 8 * e) ** 0.5) / 2)
-    if n * (n - 1) // 2 != e:
-        raise CliError(
-            f"row {lineno}: length {e} is not a binomial C(N,2)", EXIT_DIMENSION
-        )
-    width = len(str(n))
-    names = tuple(f"t{k:0{width}d}" for k in range(1, n + 1))
     try:
-        return DissimilarityMap(n, tuple(row), names)
+        n = _leaves_for(len(row))
+    except ValueError:
+        raise CliError(
+            f"row {lineno}: length {len(row)} is not a binomial C(N,2)", EXIT_DIMENSION
+        )
+    try:
+        return DissimilarityMap(n, tuple(row), tuple(_leaf_names(n)))
     except ValueError as exc:
         raise CliError(f"row {lineno}: {exc}", EXIT_PARSE)
 
@@ -495,6 +503,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= args.tol < np.inf:
+            raise CliError(
+                f"--tol must be finite and nonnegative, got {args.tol}", EXIT_BAD_PARAM
+            )
         if args.command in ("svm", "tree") and args.action != "simulate" and (
             getattr(args, "data", None) is None and getattr(args, "input", None) is None
         ):

@@ -11,7 +11,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .treeio import DissimilarityMap, PhyloTree, TreeNode, cophenetic, topology_id
+from .treeio import (
+    DissimilarityMap,
+    PhyloTree,
+    TreeNode,
+    _leaf_names,
+    cophenetic,
+    topology_id,
+)
 
 
 @dataclass(frozen=True)
@@ -28,11 +35,6 @@ class SimConfig:
             raise ValueError("height must be positive")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-
-
-def _leaf_names(n: int) -> list[str]:
-    width = len(str(n))
-    return [f"t{k:0{width}d}" for k in range(1, n + 1)]
 
 
 def _tree_stream(rng: np.random.Generator, n: int, height: float) -> Iterator[PhyloTree]:

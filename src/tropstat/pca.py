@@ -58,14 +58,11 @@ def exhaustive_principal_polytope(
     return best
 
 
-def fit_principal_polytope(
-    S: Sequence[TropicalPoint], s: int, seed: int = 0
-) -> PcaModel:
+def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
     """Vertex-exchange local search over s-subsets of the sample.
 
     Greedy farthest-point initialization, then first-improvement sweeps in
     deterministic scan order until a sweep makes no strict improvement.
-    The seed is recorded for provenance; the search itself is deterministic.
     """
     n = len(S)
     if not (1 <= s <= n):

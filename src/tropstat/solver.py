@@ -8,7 +8,7 @@ deterministic and optima are vertex solutions of the lifted polyhedron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,21 +41,27 @@ class LinearProgram:
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def validate(self):
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check the LP; return its rows and right-hand sides as arrays."""
         if self.sense not in (MIN, MAX):
             raise ValueError(f"bad sense {self.sense!r}")
         n = self.n_vars()
         if n == 0:
             raise ValueError("LP has no variables")
-        for row, rel, rhs in self.constraints:
+        for row, rel, _ in self.constraints:
             if len(row) != n:
                 raise ValueError("constraint row length mismatch")
             if rel not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {rel!r}")
-            if not np.isfinite(rhs):
-                raise ValueError("rhs must be finite")
+        R = np.array([row for row, _, _ in self.constraints], dtype=float).reshape(-1, n)
+        rhs = np.array([b for _, _, b in self.constraints], dtype=float)
+        if not (np.isfinite(self.objective).all() and np.isfinite(R).all()):
+            raise ValueError("objective and row coefficients must be finite")
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs must be finite")
         if self.bounds is not None and len(self.bounds) != n:
             raise ValueError("bounds length mismatch")
+        return R, rhs
 
 
 @dataclass
@@ -67,103 +73,55 @@ class Solution:
 
 def solve_lp(lp: LinearProgram) -> Solution:
     """Two-phase dense simplex with Bland's rule (deterministic)."""
-    lp.validate()
+    R, rhs = lp.validate()
     n = lp.n_vars()
-    bounds = lp.bounds or [(None, None)] * n
 
-    # Rewrite each variable in terms of nonnegative columns:
+    # Rewrite the variables over nonnegative columns p as x = off + M @ p:
     #   free        -> x = p - m            (two columns)
     #   lo <= x     -> x = lo + p           (shift)
     #   x <= hi     -> x = hi - p           (flip)
     #   lo<=x<=hi   -> x = lo + p, row p <= hi - lo
-    col_map = []  # per variable: (kind, col index(es), offset)
-    ncols = 0
-    extra_rows: list[tuple[np.ndarray, str, float]] = []
-    for j, (lo, hi) in enumerate(bounds):
+    off = np.zeros(n)
+    cols = []  # (variable, sign) per column
+    box = []  # (column, hi - lo) per boxed variable
+    for j, (lo, hi) in enumerate(lp.bounds or [(None, None)] * n):
         if lo is None and hi is None:
-            col_map.append(("split", (ncols, ncols + 1), 0.0))
-            ncols += 2
-        elif lo is not None:
-            col_map.append(("shift", (ncols,), float(lo)))
-            if hi is not None:
-                if hi < lo:
-                    return Solution(INFEASIBLE, None, None)
-                extra_rows.append((j, "ub", float(hi) - float(lo)))
-            ncols += 1
-        else:  # hi only
-            col_map.append(("flip", (ncols,), float(hi)))
-            ncols += 1
+            cols += [(j, 1.0), (j, -1.0)]
+            continue
+        if lo is not None and hi is not None:
+            if hi < lo:
+                return Solution(INFEASIBLE, None, None)
+            box.append((len(cols), float(hi) - float(lo)))
+        off[j] = lo if lo is not None else hi
+        cols.append((j, 1.0 if lo is not None else -1.0))
+    ncols = len(cols)
+    M = np.zeros((n, ncols))
+    for k, (j, sign) in enumerate(cols):
+        M[j, k] = sign
 
-    def expand_row(row) -> np.ndarray:
-        """Map a row over original variables to the nonnegative columns."""
-        out = np.zeros(ncols)
-        shift = 0.0
-        for j, a in enumerate(row):
-            if a == 0.0:
-                continue
-            kind, cols, off = col_map[j]
-            if kind == "split":
-                out[cols[0]] += a
-                out[cols[1]] -= a
-            elif kind == "shift":
-                out[cols[0]] += a
-                shift += a * off
-            else:  # flip: x = off - p
-                out[cols[0]] -= a
-                shift += a * off
-        return out, shift
-
-    rows = []
-    rels = []
-    rhss = []
-    for row, rel, rhs in lp.constraints:
-        out, shift = expand_row(row)
-        rows.append(out)
-        rels.append(rel)
-        rhss.append(float(rhs) - shift)
-    for j, _tag, ub in extra_rows:
-        out = np.zeros(ncols)
-        out[col_map[j][1][0]] = 1.0
-        rows.append(out)
-        rels.append("<=")
-        rhss.append(ub)
-
-    m = len(rows)
-    obj_row, obj_shift = expand_row(lp.objective)
-    minimize = lp.sense == MIN
-    c = obj_row if minimize else -obj_row
+    rels = [rel for _, rel, _ in lp.constraints] + ["<="] * len(box)
+    m = len(rels)
+    c = np.asarray(lp.objective, dtype=float) @ M
+    if lp.sense == MAX:
+        c = -c
 
     if m == 0:
         # Unconstrained over the nonnegative columns: bounded iff c >= 0.
         if np.all(c >= -PIVOT_TOL):
-            xcols = np.zeros(ncols)
-            return _recover(lp, col_map, xcols)
+            return _recover(lp, off, M, np.zeros(ncols))
         return Solution(UNBOUNDED, None, None)
 
-    # Equality form with slack columns; make rhs nonnegative.
-    A = np.zeros((m, ncols + m))
-    b = np.zeros(m)
-    slack_sign = np.zeros(m)
-    for i in range(m):
-        A[i, :ncols] = rows[i]
-        b[i] = rhss[i]
-        if rels[i] == "<=":
-            slack_sign[i] = 1.0
-        elif rels[i] == ">=":
-            slack_sign[i] = -1.0
-        A[i, ncols + i] = slack_sign[i]
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
-    # Drop all-zero slack columns (equalities) by keeping width; harmless.
+    # Equality form with one slack column per row; make rhs nonnegative.
+    slack = [1.0 if rel == "<=" else -1.0 if rel == ">=" else 0.0 for rel in rels]
+    A = np.hstack([np.vstack([R @ M, np.eye(ncols)[[k for k, _ in box]]]), np.diag(slack)])
+    b = np.concatenate([rhs - R @ off, [ub for _, ub in box]])
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
 
     total = ncols + m
-    basis = [-1] * m
     # Slack columns that survived with +1 entries give a starting basis.
-    for i in range(m):
-        col = ncols + i
-        if A[i, col] == 1.0:
-            basis[i] = col
+    basis = [ncols + i if A[i, ncols + i] == 1.0 else -1 for i in range(m)]
     need_art = [i for i in range(m) if basis[i] == -1]
     n_art = len(need_art)
     T = np.zeros((m, total + n_art + 1))
@@ -201,23 +159,13 @@ def solve_lp(lp: LinearProgram) -> Solution:
         return Solution(UNBOUNDED, None, None)
 
     xcols = np.zeros(total)
-    for i in range(m):
-        if basis[i] < total:
-            xcols[basis[i]] = T[i, -1]
-    return _recover(lp, col_map, xcols[:ncols])
+    basic = np.array(basis) < total
+    xcols[np.array(basis)[basic]] = T[basic, -1]
+    return _recover(lp, off, M, xcols[:ncols])
 
 
-def _recover(lp: LinearProgram, col_map, xcols: np.ndarray) -> Solution:
-    n = lp.n_vars()
-    x = np.zeros(n)
-    for j in range(n):
-        kind, cols, off = col_map[j]
-        if kind == "split":
-            x[j] = xcols[cols[0]] - xcols[cols[1]]
-        elif kind == "shift":
-            x[j] = off + xcols[cols[0]]
-        else:
-            x[j] = off - xcols[cols[0]]
+def _recover(lp: LinearProgram, off, M, xcols: np.ndarray) -> Solution:
+    x = off + M @ xcols
     val = float(np.dot(np.asarray(lp.objective, dtype=float), x))
     return Solution(OPTIMAL, x, val)
 

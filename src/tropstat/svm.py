@@ -9,8 +9,8 @@ toward the lexicographically smallest assignment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -92,71 +92,45 @@ def _assignments(e: int):
                     yield SectorAssignment(ip, jp, iq, jq)
 
 
-def _hard_lp(sample: LabeledSample, asg: SectorAssignment) -> LinearProgram:
-    """max z over the three hard separation constraint families."""
-    e = sample.dim
-    nvars = e + 1  # omega_0..omega_{e-1}, z
-    objective = [0.0] * e + [1.0]
-    cons = []
-    for p, label in zip(sample.points, sample.labels):
-        xi = p.coords
-        i, j = asg.pair_for(label)
-        row = [0.0] * nvars
-        row[j] += 1.0
-        row[i] -= 1.0
-        row[e] = 1.0
-        cons.append((row, "<=", xi[i] - xi[j]))  # margin
-        row = [0.0] * nvars
-        row[j] += 1.0
-        row[i] -= 1.0
-        cons.append((row, "<=", xi[i] - xi[j]))  # sector order
-        for l in range(e):
-            if l in (i, j):
-                continue
-            row = [0.0] * nvars
-            row[l] += 1.0
-            row[j] -= 1.0
-            cons.append((row, "<=", xi[j] - xi[l]))  # other coordinates below j
-    return LinearProgram(MAX, objective, cons)
+def _svm_lp(
+    sample: LabeledSample, asg: SectorAssignment, C: Optional[float] = None
+) -> LinearProgram:
+    """The separation LP of one assignment: max z, or z - C * total slack.
 
-
-def _soft_lp(sample: LabeledSample, asg: SectorAssignment, C: float) -> LinearProgram:
-    """max z - C * total slack; one (alpha, beta) per point, gammas per l."""
-    e = sample.dim
-    n = len(sample.points)
-    n_gamma = n * (e - 2)
-    nvars = e + 1 + 2 * n + n_gamma
-    alpha0 = e + 1
-    beta0 = alpha0 + n
-    gamma0 = beta0 + n
-    objective = [0.0] * e + [1.0] + [-C] * (2 * n + n_gamma)
-    cons = []
-    g = gamma0
-    for idx, (p, label) in enumerate(zip(sample.points, sample.labels)):
-        xi = p.coords
-        i, j = asg.pair_for(label)
-        row = [0.0] * nvars
-        row[j] += 1.0
-        row[i] -= 1.0
-        row[e] = 1.0
-        row[alpha0 + idx] = -1.0
-        cons.append((row, "<=", xi[i] - xi[j]))
-        row = [0.0] * nvars
-        row[j] += 1.0
-        row[i] -= 1.0
-        row[beta0 + idx] = -1.0
-        cons.append((row, "<=", xi[i] - xi[j]))
-        for l in range(e):
-            if l in (i, j):
-                continue
-            row = [0.0] * nvars
-            row[l] += 1.0
-            row[j] -= 1.0
-            row[g] = -1.0
-            cons.append((row, "<=", xi[j] - xi[l]))
-            g += 1
-    bounds = [(None, None)] * (e + 1) + [(0.0, None)] * (2 * n + n_gamma)
-    return LinearProgram(MAX, objective, cons, bounds)
+    Variables are omega_0..omega_{e-1} and z, then (soft mode) one slack
+    per row.  Each point with pair (i, j) gives e rows, all of the form
+    omega_plus - omega_minus <= x_minus - x_plus: the margin row (plus j,
+    minus i, + z), the sector row (plus j, minus i), then one row per
+    other coordinate l (plus l, minus j).  Soft mode subtracts the row's
+    own slack, ordered alpha (margin rows), beta (sector rows), gamma.
+    """
+    X = np.array([p.coords for p in sample.points])
+    n, e = X.shape
+    order = np.array(
+        [[i, j] + [l for l in range(e) if l not in (i, j)]
+         for i, j in map(asg.pair_for, sample.labels)]
+    )
+    i, j = order[:, :1], order[:, 1:2]
+    plus = np.hstack([j, j, order[:, 2:]])
+    minus = np.hstack([i, i, np.repeat(j, e - 2, axis=1)])
+    rhs = (np.take_along_axis(X, minus, 1) - np.take_along_axis(X, plus, 1)).ravel()
+    m = n * e
+    rows = np.zeros((m, e + 1))
+    rows[np.arange(m), plus.ravel()] = 1.0
+    rows[np.arange(m), minus.ravel()] = -1.0
+    rows[::e, e] = 1.0
+    objective = np.zeros(e + 1)
+    objective[e] = 1.0
+    bounds = None
+    if C is not None:
+        slack = np.column_stack([np.arange(n), n + np.arange(n),
+                                 2 * n + np.arange(n * (e - 2)).reshape(n, e - 2)])
+        S = np.zeros((m, m))
+        S[np.arange(m), slack.ravel()] = -1.0
+        rows = np.hstack([rows, S])
+        objective = np.concatenate([objective, np.full(m, -C)])
+        bounds = [(None, None)] * (e + 1) + [(0.0, None)] * m
+    return LinearProgram(MAX, objective, [(r, "<=", b) for r, b in zip(rows, rhs)], bounds)
 
 
 def _check_classes(sample: LabeledSample):
@@ -166,25 +140,33 @@ def _check_classes(sample: LabeledSample):
         raise ValueError("training needs dimension >= 3")
 
 
-def train_hard(sample: LabeledSample, tol: float = SEP_TOL) -> SvmModel:
-    """Best class-level assignment by maximal margin z; fails if z <= tol."""
+def _train(sample: LabeledSample, C: Optional[float], tol: float):
+    """(objective, assignment, x) of the best assignment, or None if no LP
+    has an optimum; a later assignment wins only by more than tol."""
     _check_classes(sample)
-    e = sample.dim
+    if C is not None and not C > 0:
+        raise ValueError(f"C must be positive, got {C}")
     best = None
-    for asg in _assignments(e):
-        sol = solve_lp(_hard_lp(sample, asg))
+    for asg in _assignments(sample.dim):
+        sol = solve_lp(_svm_lp(sample, asg, C))
         if sol.status != OPTIMAL:
             continue
-        z = float(sol.objective_value)
-        if best is None or z > best[0] + tol:
-            best = (z, asg, sol.x[:e])
+        obj = float(sol.objective_value)
+        if best is None or obj > best[0] + tol:
+            best = (obj, asg, sol.x)
+    return best
+
+
+def train_hard(sample: LabeledSample, tol: float = SEP_TOL) -> SvmModel:
+    """Best class-level assignment by maximal margin z; fails if z <= tol."""
+    best = _train(sample, None, tol)
     if best is None or best[0] <= tol:
         raise NotSeparableError(
             "no class-level sector assignment achieves a positive margin"
         )
-    z, asg, omega = best
+    z, asg, x = best
     return SvmModel(
-        omega=canonicalize(omega),
+        omega=canonicalize(x[: sample.dim]),
         assignment=asg,
         margin=z,
         mode=HARD,
@@ -195,26 +177,13 @@ def train_hard(sample: LabeledSample, tol: float = SEP_TOL) -> SvmModel:
 
 def train_soft(sample: LabeledSample, C: float) -> SvmModel:
     """Best class-level assignment by the slack-penalized objective."""
-    _check_classes(sample)
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    e = sample.dim
-    n = len(sample.points)
-    best = None
-    for asg in _assignments(e):
-        sol = solve_lp(_soft_lp(sample, asg, C))
-        if sol.status != OPTIMAL:
-            continue
-        obj = float(sol.objective_value)
-        if best is None or obj > best[0] + SEP_TOL:
-            best = (obj, asg, sol.x)
+    best = _train(sample, C, SEP_TOL)
     if best is None:
         raise RuntimeError(f"every soft-margin LP is unbounded at C = {C}: "
                            "the slack penalty is too small to bound the margin")
     obj, asg, x = best
-    alpha = x[e + 1 : e + 1 + n]
-    beta = x[e + 1 + n : e + 1 + 2 * n]
-    gamma = x[e + 1 + 2 * n :]
+    e, n = sample.dim, len(sample.points)
+    alpha, beta, gamma = np.split(x[e + 1 :], [n, 2 * n])
     return SvmModel(
         omega=canonicalize(x[:e]),
         assignment=asg,

@@ -287,6 +287,12 @@ def _leaves_for(e: int) -> int:
     return n
 
 
+def _leaf_names(n: int) -> list[str]:
+    """t1..tN, zero-padded to a common width so they sort numerically."""
+    width = len(str(n))
+    return [f"t{k:0{width}d}" for k in range(1, n + 1)]
+
+
 def ultrametric_to_tree(u: DissimilarityMap, tol: float = STRUCT_TOL) -> PhyloTree:
     """The unique equidistant tree realizing an ultrametric.
 

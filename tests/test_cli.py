@@ -99,6 +99,29 @@ class TestExitCodes:
             "row 1 fails the three-point condition"
         )
 
+    def test_non_finite_csv_cell_is_2(self, capsys, tmp_path):
+        data = tmp_path / "s.csv"
+        data.write_text("0,1,2,0\n\n0,nan,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n")
+        code, out = run(capsys, "svm", "train", str(data))
+        assert code == 2
+        assert envelope_of(out)["result"]["message"] == f"{data}:3: non-finite value"
+
+    @pytest.mark.parametrize("vector", ["0,nan,1", "0,inf,1", "0,1,-inf"])
+    def test_non_finite_inline_vector_is_2(self, capsys, vector):
+        code, out = run(capsys, "metric", vector, "0,1,2")
+        assert code == 2
+        assert "non-finite value" in envelope_of(out)["result"]["message"]
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])
+    def test_bad_tol_is_5(self, capsys, tol):
+        code, out = run(capsys, f"--tol={tol}", "metric", "0,1,2", "0,1,3")
+        assert code == 5
+        assert "--tol" in envelope_of(out)["result"]["message"]
+
+    def test_zero_tol_accepted(self, capsys):
+        code, _ = run(capsys, "--tol", "0", "metric", "0,1,2", "0,1,3")
+        assert code == 0
+
     @pytest.mark.parametrize(
         "C, code, text",
         [("0", 5, "C must be positive"), ("-1", 5, "C must be positive"),

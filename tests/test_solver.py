@@ -190,6 +190,16 @@ class TestBasics:
                     assert abs(lhs - rhs) <= 1e-7
 
 
+    @pytest.mark.parametrize(
+        "objective, row",
+        [([np.nan, 1.0], [1.0, 0.0]), ([1.0, 1.0], [np.inf, 0.0]),
+         ([1.0, 1.0], [0.0, np.nan])],
+    )
+    def test_non_finite_coefficients_rejected(self, objective, row):
+        lp = LinearProgram(MIN, objective, [(row, "<=", 1.0)])
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_lp(lp)
+
     def test_pivot_matches_row_by_row_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -15,7 +15,10 @@ from tropstat import (
     train_hard,
     train_soft,
 )
+from tropstat.solver import MAX, LinearProgram
 from tropstat.svm import (
+    _assignments,
+    _svm_lp,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -32,6 +35,85 @@ def separable_sample(n_per_class=5, seed_a=2, seed_b=102):
     )
     points = tuple(TropicalPoint(u.values) for u in two.ultrametrics)
     return LabeledSample(points, tuple(two.labels))
+
+
+def reference_hard_lp(sample, asg):
+    """The row-by-row hard-margin builder that _svm_lp replaced."""
+    e = sample.dim
+    nvars = e + 1  # omega_0..omega_{e-1}, z
+    objective = [0.0] * e + [1.0]
+    cons = []
+    for p, label in zip(sample.points, sample.labels):
+        xi = p.coords
+        i, j = asg.pair_for(label)
+        row = [0.0] * nvars
+        row[j] += 1.0
+        row[i] -= 1.0
+        row[e] = 1.0
+        cons.append((row, "<=", xi[i] - xi[j]))  # margin
+        row = [0.0] * nvars
+        row[j] += 1.0
+        row[i] -= 1.0
+        cons.append((row, "<=", xi[i] - xi[j]))  # sector order
+        for l in range(e):
+            if l in (i, j):
+                continue
+            row = [0.0] * nvars
+            row[l] += 1.0
+            row[j] -= 1.0
+            cons.append((row, "<=", xi[j] - xi[l]))  # other coordinates below j
+    return LinearProgram(MAX, objective, cons)
+
+
+def reference_soft_lp(sample, asg, C):
+    """The row-by-row soft-margin builder that _svm_lp replaced."""
+    e = sample.dim
+    n = len(sample.points)
+    n_gamma = n * (e - 2)
+    nvars = e + 1 + 2 * n + n_gamma
+    alpha0 = e + 1
+    beta0 = alpha0 + n
+    gamma0 = beta0 + n
+    objective = [0.0] * e + [1.0] + [-C] * (2 * n + n_gamma)
+    cons = []
+    g = gamma0
+    for idx, (p, label) in enumerate(zip(sample.points, sample.labels)):
+        xi = p.coords
+        i, j = asg.pair_for(label)
+        row = [0.0] * nvars
+        row[j] += 1.0
+        row[i] -= 1.0
+        row[e] = 1.0
+        row[alpha0 + idx] = -1.0
+        cons.append((row, "<=", xi[i] - xi[j]))
+        row = [0.0] * nvars
+        row[j] += 1.0
+        row[i] -= 1.0
+        row[beta0 + idx] = -1.0
+        cons.append((row, "<=", xi[i] - xi[j]))
+        for l in range(e):
+            if l in (i, j):
+                continue
+            row = [0.0] * nvars
+            row[l] += 1.0
+            row[j] -= 1.0
+            row[g] = -1.0
+            cons.append((row, "<=", xi[j] - xi[l]))
+            g += 1
+    bounds = [(None, None)] * (e + 1) + [(0.0, None)] * (2 * n + n_gamma)
+    return LinearProgram(MAX, objective, cons, bounds)
+
+
+def lp_bytes(lp):
+    """Every number of an LP, bit for bit, with its relations and bounds."""
+    return (
+        lp.sense,
+        np.asarray(lp.objective, dtype=float).tobytes(),
+        np.array([row for row, _, _ in lp.constraints], dtype=float).tobytes(),
+        np.array([b for _, _, b in lp.constraints], dtype=float).tobytes(),
+        [rel for _, rel, _ in lp.constraints],
+        lp.bounds,
+    )
 
 
 class TestAssignment:
@@ -64,6 +146,19 @@ class TestSampleValidation:
         )
         with pytest.raises(ValueError):
             train_hard(s)
+
+
+class TestBuilder:
+    @pytest.mark.parametrize("C", [None, 10.0])
+    def test_matches_row_by_row_reference(self, C):
+        sample = separable_sample()
+        n_assignments = 0
+        for asg in _assignments(sample.dim):
+            ref = (reference_hard_lp(sample, asg) if C is None
+                   else reference_soft_lp(sample, asg, C))
+            assert lp_bytes(_svm_lp(sample, asg, C)) == lp_bytes(ref)
+            n_assignments += 1
+        assert n_assignments == 750
 
 
 class TestHardMargin:
