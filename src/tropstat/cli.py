@@ -66,6 +66,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave as a CliError (exit 2 with an envelope), not as
+    usage text and SystemExit; subparsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}", EXIT_PARSE)
+
+
 def _round_floats(obj):
     """Re-render every float at 12 significant digits for stable output."""
     if isinstance(obj, float):
@@ -438,7 +446,7 @@ def cmd_regress(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropstat",
         description="Tropical (max-plus) statistics over the projective torus "
         "and the space of ultrametric trees.",
@@ -500,9 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse records the subcommand before parsing its arguments, so a
+    # usage error names it once it has been read.
+    args = argparse.Namespace(command="tropstat")
     try:
+        build_parser().parse_args(argv, args)
         if not 0.0 <= args.tol < np.inf:
             raise CliError(
                 f"--tol must be finite and nonnegative, got {args.tol}", EXIT_BAD_PARAM

@@ -22,7 +22,7 @@ from .solver import (
     minimize_convex,
     solve_lp,
 )
-from .treeio import _leaves_for, pair_index, three_point_check
+from .treeio import _leaves_for, _single_linkage, _square, three_point_check
 
 FW_LP = "FW_LP"
 FRECHET_DESCENT = "FRECHET_DESCENT"
@@ -136,7 +136,7 @@ def _refine_to_ultrametric(V: np.ndarray, raw, opt: float):
     """
     s, e = V.shape
     try:
-        n = _leaves_for(e)
+        _leaves_for(e)
     except ValueError:
         return None
     if not all(three_point_check(row, tol=1e-9) for row in V):
@@ -144,65 +144,36 @@ def _refine_to_ultrametric(V: np.ndarray, raw, opt: float):
     if three_point_check(raw, tol=1e-9):
         return None
     for cand in [np.asarray(raw)] + [V[i] for i in range(s)]:
-        merge_of_pair, edges, n_nodes = _single_linkage_merges(cand, n)
-        lp, node_of = _cone_fw_lp(V, merge_of_pair, edges, n_nodes, n)
-        sol = solve_lp(lp)
+        node_of, edges = _merge_nodes(cand)
+        sol = solve_lp(_cone_fw_lp(V, node_of, edges))
         if sol.status == OPTIMAL and sol.objective_value <= opt + 1e-7:
             return tuple(2.0 * float(sol.x[m]) for m in node_of)
     return None
 
 
-def _single_linkage_merges(vec, n: int):
-    """Single-linkage merge structure of a symmetric pair vector.
-
-    Returns (merge node id per leaf pair, child->parent node edges, node
-    count).  Ties break toward the smallest leaf labels.
-    """
-
-    def get(i, j):
-        if i > j:
-            i, j = j, i
-        return vec[pair_index(i, j, n)]
-
-    merge_of_pair = {}
+def _merge_nodes(vec):
+    """Merge node of each leaf pair (in pair order) and the child->parent
+    node edges of the single-linkage tree of vec; node k is the k-th merge."""
+    D = _square(vec, np.inf)
+    n = len(D)
+    cluster = np.arange(n)
+    node = np.empty((n, n), dtype=int)
+    top = {}  # cluster -> its newest node
     edges = []
-    clusters = [((i,), None) for i in range(1, n + 1)]  # (members, node id)
-    next_id = 0
-    while len(clusters) > 1:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = min(
-                    get(i, j)
-                    for i in clusters[a][0]
-                    for j in clusters[b][0]
-                )
-                key = (d, clusters[a][0][0], clusters[b][0][0])
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        (ma, ia), (mb, ib) = clusters[a], clusters[b]
-        node = next_id
-        next_id += 1
-        for i in ma:
-            for j in mb:
-                merge_of_pair[(min(i, j), max(i, j))] = node
-        for child in (ia, ib):
-            if child is not None:
-                edges.append((child, node))
-        merged = (tuple(sorted(ma + mb)), node)
-        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0][0])
-    return merge_of_pair, edges, next_id
+    for k, (a, b, _) in enumerate(_single_linkage(D)):
+        in_a, in_b = cluster == a, cluster == b
+        node[np.ix_(in_a, in_b)] = node[np.ix_(in_b, in_a)] = k
+        cluster[in_b] = a
+        edges += [(top[c], k) for c in (a, b) if c in top]
+        top[a] = k
+    return node[np.triu_indices(n, 1)].tolist(), edges
 
 
-def _cone_fw_lp(V, merge_of_pair, edges, n_nodes, n):
-    """The FW LP with y_p = 2 * height(lca of pair p) for a fixed topology."""
-    from itertools import combinations
-
+def _cone_fw_lp(V, node_of, edges):
+    """The FW LP with y_p = 2 * height(merge node of pair p), and every child
+    node no higher than its parent, for a fixed topology."""
     e = V.shape[1]
-    node_of = [merge_of_pair[p] for p in combinations(range(1, n + 1), 2)]
+    n_nodes = max(node_of) + 1
     Y = np.zeros((e, n_nodes))
     Y[np.arange(e), node_of] = 2.0
     extra = []
@@ -211,7 +182,7 @@ def _cone_fw_lp(V, merge_of_pair, edges, n_nodes, n):
         row[child] = 1.0
         row[parent] = -1.0
         extra.append((row, 0.0))
-    return _fw_lp(V, Y, extra), node_of
+    return _fw_lp(V, Y, extra)
 
 
 def frechet_mean(
@@ -248,21 +219,12 @@ def frechet_mean(
 def check_ultrametric_closure(
     result: LocationResult, n_leaves: int, tol: float = 1e-6
 ) -> bool:
-    """Three-point condition on the solver's raw representative.
-
-    The check is also recorded for the max-shift representative (largest
-    coordinate pinned to 0) in result.diagnostics; the three-point
-    condition compares coordinates pairwise, so the two agree.
-    """
+    """Three-point condition on the solver's raw representative, also
+    recorded in result.diagnostics["ultrametric_closure"]."""
     e = n_leaves * (n_leaves - 1) // 2
     if result.point.dim != e:
         raise ValueError(f"dimension {result.point.dim} is not C({n_leaves},2)")
     raw = result.diagnostics.get("raw_point", result.point.coords)
-    ok_raw = three_point_check(raw, tol=tol)
-    mx = max(raw)
-    ok_max_shift = three_point_check([v - mx for v in raw], tol=tol)
-    result.diagnostics["ultrametric_closure"] = {
-        "raw": ok_raw,
-        "max_shift": ok_max_shift,
-    }
-    return ok_raw
+    ok = three_point_check(raw, tol=tol)
+    result.diagnostics["ultrametric_closure"] = {"raw": ok}
+    return ok

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 STRUCT_TOL = 1e-9
+_CUBE_BLOCK = 1 << 18  # elements in one slab of three_point_check's cube
 
 
 class NewickError(ValueError):
@@ -193,6 +194,8 @@ class DissimilarityMap:
             raise ValueError("one name per leaf required")
         if any(v < 0 for v in self.values):
             raise ValueError("dissimilarities must be nonnegative")
+        if not np.isfinite(self.values).all():
+            raise ValueError("dissimilarities must be finite")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def get(self, i: int, j: int) -> float:
@@ -260,24 +263,60 @@ def is_equidistant(t: PhyloTree, tol: float = STRUCT_TOL) -> tuple[bool, float]:
 
 
 def three_point_check(w, tol: float = STRUCT_TOL) -> bool:
-    """Max of every triple {w(i,j), w(i,k), w(j,k)} attained at least twice."""
-    if isinstance(w, DissimilarityMap):
-        n, vals = w.n_leaves, w.values
-    else:
-        vals = tuple(w)
-        n = _leaves_for(len(vals))
+    """Max of every triple {w(i,j), w(i,k), w(j,k)} attained at least twice.
+
+    The triples form the n x n x n cube over the square matrix with a -inf
+    diagonal, so a triple with a repeated leaf has its max twice and passes.
+    The max is attained twice exactly when the middle value is within tol of
+    it.  The cube is taken in slabs of rows of i of at most _CUBE_BLOCK
+    elements, so memory stays O(n^2) for large n.
+    """
+    D = _square(w.values if isinstance(w, DissimilarityMap) else w, -np.inf)
+    n = len(D)
     if n < 3:
         raise ValueError("three-point condition needs at least 3 leaves")
-
-    def get(i, j):
-        return vals[pair_index(i, j, n)]
-
-    for i, j, k in combinations(range(1, n + 1), 3):
-        a, b, c = get(i, j), get(i, k), get(j, k)
-        top = max(a, b, c)
-        if sum(1 for v in (a, b, c) if v >= top - tol) < 2:
+    step = max(1, _CUBE_BLOCK // (n * n))
+    z = D[None, :, :]
+    for i in range(0, n, step):
+        x, y = D[i : i + step, :, None], D[i : i + step, None, :]
+        hi = np.maximum(x, y)
+        top = np.maximum(hi, z)
+        mid = np.maximum(np.minimum(x, y), np.minimum(hi, z))
+        if not (mid >= top - tol).all():
             return False
     return True
+
+
+def _square(vals, diagonal: float) -> np.ndarray:
+    """Symmetric n x n matrix of a pair vector, with a constant diagonal."""
+    vals = np.asarray(vals, dtype=float)
+    n = _leaves_for(len(vals))
+    D = np.full((n, n), diagonal)
+    leaf = np.arange(n)
+    upper = leaf[:, None] < leaf  # row-major order is lexicographic pair order
+    D[upper] = vals
+    D.T[upper] = vals
+    return D
+
+
+def _single_linkage(D: np.ndarray) -> list[tuple[int, int, float]]:
+    """Single-linkage merges (a, b, d), a < b, of a symmetric matrix with an
+    inf diagonal; D is overwritten.
+
+    Row b merges into row a by an elementwise min, so every live row is the
+    smallest leaf position of its cluster.  The row-major argmin breaks ties
+    in d toward the smaller first leaf, then the smaller second leaf.
+    """
+    n = len(D)
+    merges = []
+    for _ in range(n - 1):
+        a, b = divmod(int(D.argmin()), n)
+        merges.append((a, b, float(D[a, b])))
+        row = np.minimum(D[a], D[b])
+        row[a] = np.inf
+        D[a], D[:, a] = row, row
+        D[b], D[:, b] = np.inf, np.inf
+    return merges
 
 
 def _leaves_for(e: int) -> int:
@@ -297,37 +336,19 @@ def ultrametric_to_tree(u: DissimilarityMap, tol: float = STRUCT_TOL) -> PhyloTr
     """The unique equidistant tree realizing an ultrametric.
 
     Single-linkage agglomeration placing each merge at height u(i,j)/2;
-    exact for ultrametrics.  Ties break toward the smallest leaf label.
+    exact for ultrametrics.  Ties break toward the smaller leaf position,
+    which is name order when leaf_names are sorted.
     """
     if not three_point_check(u, tol=tol):
         raise ValueError("input fails the three-point condition")
-    names = list(u.leaf_names)
-    # clusters: (min leaf name, node, height, member leaf 1-based ids)
-    clusters = [
-        (names[k], TreeNode(name=names[k]), 0.0, [k + 1]) for k in range(u.n_leaves)
-    ]
-    while len(clusters) > 1:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = min(
-                    u.get(i, j) for i in clusters[a][3] for j in clusters[b][3]
-                )
-                key = (d, clusters[a][0], clusters[b][0])
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        (d, _, _), a, b = best
-        la, na, ha, ma = clusters[a]
-        lb, nb, hb, mb = clusters[b]
+    nodes = [TreeNode(name=name) for name in u.leaf_names]
+    heights = [0.0] * u.n_leaves
+    for a, b, d in _single_linkage(_square(u.values, np.inf)):
         h = d / 2.0
-        na.length = h - ha
-        nb.length = h - hb
-        parent = TreeNode(children=[na, nb])
-        merged = (min(la, lb), parent, h, ma + mb)
-        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0])
-    return PhyloTree(clusters[0][1])
+        nodes[a].length = h - heights[a]
+        nodes[b].length = h - heights[b]
+        nodes[a], heights[a] = TreeNode(children=[nodes[a], nodes[b]]), h
+    return PhyloTree(nodes[0])
 
 
 def topology_id(t: PhyloTree) -> str:

@@ -62,3 +62,43 @@ def lattice_points_3d(rng, n, lo=-2.0, hi=2.0, step=0.01):
     """Random canonical 3-dim points with coordinates on a 0.01 lattice."""
     ticks = rng.integers(round(lo / step), round(hi / step) + 1, size=(n, 2))
     return [TropicalPoint((0.0, step * int(a), step * int(b))) for a, b in ticks]
+
+
+def tied_ultrametric(n: int, rng) -> np.ndarray:
+    """Ultrametric pair vector of a random merge order with integer heights;
+    most successive merges share a height, so ties are common."""
+    D = np.zeros((n, n))
+    members = {i: [i] for i in range(n)}
+    height = 0
+    while len(members) > 1:
+        height += int(rng.integers(0, 2))
+        a, b = rng.choice(sorted(members), 2, replace=False)
+        D[np.ix_(members[a], members[b])] = 2 * height
+        D[np.ix_(members[b], members[a])] = 2 * height
+        members[a] += members.pop(b)
+    return D[np.triu_indices(n, 1)]
+
+
+def seeded_vectors(seed: int, count: int) -> list[np.ndarray]:
+    """Pair vectors for 3-11 leaves, cycling through five kinds: integer
+    values with many ties, tied ultrametrics, cophenetic vectors of simulated
+    trees, Gaussian values, and negative raw Fermat-Weber-style coordinates."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        n = int(rng.integers(3, 12))
+        e = n * (n - 1) // 2
+        kind = t % 5
+        if kind == 0:
+            v = rng.integers(0, 4, size=e).astype(float)
+        elif kind == 1:
+            v = tied_ultrametric(n, rng)
+        elif kind == 2:
+            tree = simulate_equidistant(SimConfig(n, 1.0, seed + t, 1))[0]
+            v = np.array(cophenetic(tree).values)
+        elif kind == 3:
+            v = rng.normal(size=e)
+        else:
+            v = rng.normal(-5.0, 2.0, size=e)
+        out.append(v)
+    return out

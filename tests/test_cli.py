@@ -118,6 +118,29 @@ class TestExitCodes:
         assert code == 5
         assert "--tol" in envelope_of(out)["result"]["message"]
 
+    @pytest.mark.parametrize("argv, command", [
+        (["metric", "-1,0,1", "0,1,2"], "metric"),
+        (["svm", "train", "x.csv", "--C", "abc"], "svm"),
+        (["metric", "0,1", "0,1", "extra"], "metric"),
+        (["nosuch"], "tropstat"),
+        ([], "tropstat"),
+    ])
+    def test_usage_error_is_2(self, capsys, schema, argv, command):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        env = envelope_of(captured.out)
+        jsonschema.validate(env, schema)
+        assert env["command"] == command
+        assert env["status"] == "error"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metric", "--help"])
+        assert exc.value.code == 0
+        assert "usage: tropstat metric" in capsys.readouterr().out
+
     def test_zero_tol_accepted(self, capsys):
         code, _ = run(capsys, "--tol", "0", "metric", "0,1,2", "0,1,3")
         assert code == 0

@@ -1,5 +1,7 @@
 """Newick I/O, cophenetic maps, three-point checks, tree reconstruction."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,59 @@ from tropstat import (
     topology_id,
     ultrametric_to_tree,
 )
+from tropstat import treeio
+from tropstat.treeio import PhyloTree, TreeNode, _leaf_names
 from conftest import (
     FIG_LEFT_NEWICK,
     FIG_LEFT_VECTOR,
     FIG_RIGHT_NEWICK,
     FIG_RIGHT_VECTOR,
+    seeded_vectors,
 )
+
+
+def reference_three_point_check(vals, tol=1e-9):
+    """The former triple loop, kept as the reference for the array check."""
+    n = treeio._leaves_for(len(vals))
+
+    def get(i, j):
+        return vals[pair_index(i, j, n)]
+
+    for i, j, k in combinations(range(1, n + 1), 3):
+        a, b, c = get(i, j), get(i, k), get(j, k)
+        top = max(a, b, c)
+        if sum(1 for v in (a, b, c) if v >= top - tol) < 2:
+            return False
+    return True
+
+
+def reference_ultrametric_to_tree(u, tol=1e-9):
+    """The former cluster-list single linkage, kept as the reference."""
+    if not reference_three_point_check(u.values, tol=tol):
+        raise ValueError("input fails the three-point condition")
+    names = list(u.leaf_names)
+    clusters = [
+        (names[k], TreeNode(name=names[k]), 0.0, [k + 1]) for k in range(u.n_leaves)
+    ]
+    while len(clusters) > 1:
+        best = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = min(u.get(i, j) for i in clusters[a][3] for j in clusters[b][3])
+                key = (d, clusters[a][0], clusters[b][0])
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        (d, _, _), a, b = best
+        la, na, ha, ma = clusters[a]
+        lb, nb, hb, mb = clusters[b]
+        h = d / 2.0
+        na.length = h - ha
+        nb.length = h - hb
+        merged = (min(la, lb), TreeNode(children=[na, nb]), h, ma + mb)
+        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
+        clusters.append(merged)
+        clusters.sort(key=lambda c: c[0])
+    return PhyloTree(clusters[0][1])
 
 
 class TestParsing:
@@ -103,6 +152,13 @@ class TestCophenetic:
         assert three_point_check(FIG_LEFT_VECTOR)
         assert three_point_check(FIG_RIGHT_VECTOR)
 
+    @pytest.mark.parametrize("bad, message", [
+        (-1.0, "nonnegative"), (float("inf"), "finite"), (float("nan"), "finite"),
+    ])
+    def test_map_rejects_negative_and_non_finite(self, bad, message):
+        with pytest.raises(ValueError, match=f"must be {message}"):
+            DissimilarityMap(3, (1.0, bad, 1.0), ("a", "b", "c"))
+
     def test_get_is_symmetric(self, fig_left_tree):
         u = cophenetic(fig_left_tree)
         assert u.get(1, 3) == u.get(3, 1)
@@ -124,6 +180,37 @@ class TestThreePoint:
         w = (1.0, 1.0 + 1e-12, 0.5)
         assert three_point_check(w, tol=1e-9)
         assert not three_point_check((1.0, 1.1, 0.5), tol=1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, -1e-9])
+    def test_matches_triple_loop_reference(self, tol):
+        rng = np.random.default_rng(5)
+        for v in seeded_vectors(17, 400):
+            for offset in (0.0, 1e-9, -1e-9):
+                w = (v + offset * rng.integers(-1, 2, size=len(v))).tolist()
+                assert three_point_check(w, tol=tol) is reference_three_point_check(
+                    w, tol=tol
+                ), (w, tol)
+
+    def test_blocked_cube(self):
+        # Enough leaves for several slabs; the only violating triple is the
+        # last three leaves, which only the last slab sees with all three.
+        n = 80
+        step = max(1, treeio._CUBE_BLOCK // (n * n))
+        assert n > step and (n - 1) // step * step <= n - 3
+        D = np.full((n, n), 10.0)
+        D[: n - 3, : n - 3] = 4.0
+        D[n - 3, n - 2] = D[n - 2, n - 3] = 1.0
+        D[n - 3, n - 1] = D[n - 1, n - 3] = 2.0
+        D[n - 2, n - 1] = D[n - 1, n - 2] = 2.0
+        upper = np.triu_indices(n, 1)
+        names = tuple(_leaf_names(n))
+        u = DissimilarityMap(n, tuple(D[upper]), names)
+        assert three_point_check(u)
+        again = cophenetic(ultrametric_to_tree(u))
+        assert again.leaf_names == names
+        assert np.max(np.abs(again.as_array() - u.as_array())) < 1e-12
+        D[n - 2, n - 1] = D[n - 1, n - 2] = 3.0
+        assert not three_point_check(DissimilarityMap(n, tuple(D[upper]), names))
 
     def test_ultrametric_point_validates(self):
         with pytest.raises(ValueError):
@@ -155,6 +242,21 @@ class TestReconstruction:
         ok, height = is_equidistant(t)
         assert ok
         assert height == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_matches_cluster_list_reference(self, tol):
+        for v in seeded_vectors(23, 300):
+            if (v < 0).any():
+                continue
+            n = treeio._leaves_for(len(v))
+            u = DissimilarityMap(n, tuple(v.tolist()), tuple(_leaf_names(n)))
+            try:
+                expected = serialize_newick(reference_ultrametric_to_tree(u, tol=tol))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    ultrametric_to_tree(u, tol=tol)
+                continue
+            assert serialize_newick(ultrametric_to_tree(u, tol=tol)) == expected
 
     def test_topology_id_ignores_lengths(self):
         a = parse_newick("((a:1,b:1):1,c:2);")
