@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .core import TropicalPoint, trop_distance
 from .datagen import SimConfig, simulate_equidistant
-from .experimental import fit_lda, fit_regression, lda_objective, regression_objective
+from .experimental import fit_lda, fit_regression, regression_objective
 from .location import (
     check_ultrametric_closure,
     fermat_weber,
@@ -41,6 +41,7 @@ from .svm import (
 from .treeio import (
     DissimilarityMap,
     NewickError,
+    _build_tree,
     _leaf_names,
     _leaves_for,
     cophenetic,
@@ -312,17 +313,22 @@ def _read_newick_lines(path):
     return trees
 
 
+def _write_lines(lines, out):
+    """Write lines to the file out, or print them when out is not given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_tree(args):
     if args.action == "newick2ultra":
         trees = _read_newick_lines(args.input)
         vectors = [cophenetic(t) for t in trees]
         lines = [",".join(f"{v:.12g}" for v in u.values) for u in vectors]
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            for line in lines:
-                print(line)
+        _write_lines(lines, args.out)
         result = {
             "n_trees": len(trees),
             "n_leaves": vectors[0].n_leaves,
@@ -344,12 +350,7 @@ def cmd_tree(args):
                     EXIT_NOT_ULTRAMETRIC,
                 )
             newicks.append(serialize_newick(tree))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(newicks) + "\n")
-        else:
-            for line in newicks:
-                print(line)
+        _write_lines(newicks, args.out)
         return emit("tree-ultra2newick", {"n_trees": len(newicks)},
                     quiet=True if not args.out else args.quiet)
 
@@ -367,7 +368,7 @@ def cmd_tree(args):
             "n_leaves": maps[0].n_leaves,
         }
         if maps[0].n_leaves == 4 and all(verdicts):
-            ids = {topology_id(ultrametric_to_tree(u, tol=args.tol)) for u in maps}
+            ids = {topology_id(_build_tree(u)) for u in maps}
             result["topology_count"] = len(ids)
         return emit("tree-check", result, quiet=args.quiet)
 
@@ -379,13 +380,7 @@ def cmd_tree(args):
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAM)
     trees = simulate_equidistant(cfg)
-    lines = [serialize_newick(t) for t in trees]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    _write_lines([serialize_newick(t) for t in trees], args.out)
     ids = {topology_id(t) for t in trees}
     result = {
         "n_trees": len(trees),
@@ -517,9 +512,7 @@ def main(argv=None) -> int:
             raise CliError(
                 f"--tol must be finite and nonnegative, got {args.tol}", EXIT_BAD_PARAM
             )
-        if args.command in ("svm", "tree") and args.action != "simulate" and (
-            getattr(args, "data", None) is None and getattr(args, "input", None) is None
-        ):
+        if args.command == "tree" and args.action != "simulate" and args.input is None:
             raise CliError("missing input file", EXIT_BAD_PARAM)
         args.func(args)
         return EXIT_OK

@@ -111,15 +111,45 @@ def trop_combine(a: float, v: TropicalPoint, b: float, w: TropicalPoint) -> Trop
     _check_dims(v, w)
     if a == NEG_INF and b == NEG_INF:
         raise ValueError("at least one coefficient must be finite")
-    raw = np.maximum(v.as_array() + a, w.as_array() + b)
-    return canonicalize(raw)
+    return canonicalize(_combine(np.array([a, b]), np.array([v.coords, w.coords])))
 
 
 def trop_distance(v: TropicalPoint, w: TropicalPoint) -> float:
     """Tropical metric: max_i(v_i - w_i) - min_i(v_i - w_i)."""
     _check_dims(v, w)
-    diff = v.as_array() - w.as_array()
-    return float(diff.max() - diff.min())
+    return float(_distances(v.as_array(), w.as_array()))
+
+
+def _sample_arrays(sample: Sequence[TropicalPoint]) -> np.ndarray:
+    """The (n, e) matrix of a nonempty sample of points of one dimension."""
+    if not sample:
+        raise ValueError("empty sample")
+    dims = {p.dim for p in sample}
+    if len(dims) != 1:
+        raise ValueError("sample points must share one dimension")
+    return np.array([p.coords for p in sample], dtype=float)
+
+
+def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Tropical distances between the rows of X and Y, broadcast over the
+    leading axes: max(x - y) - min(x - y) along the last axis."""
+    diff = X - Y
+    return diff.max(axis=-1) - diff.min(axis=-1)
+
+
+def _combine(lam: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Canonical tropical combinations max_l(lam_l + D_l) of the rows of D,
+    one per row of lam."""
+    Z = (D + lam[..., :, None]).max(axis=-2)
+    return Z - Z[..., :1]
+
+
+def _project(X: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest points of the rows of X on tconv of the rows of D (Develin &
+    Sturmfels, 2004): the weights lam_l = min_j(x_j - D_lj), one row per
+    point, and the canonical combinations of D with those weights."""
+    lam = (X[..., None, :] - D).min(axis=-1)
+    return lam, _combine(lam, D)
 
 
 @dataclass(frozen=True)
@@ -184,7 +214,7 @@ class TropicalPolytope:
         return len(self.vertices)
 
     def matrix(self) -> np.ndarray:
-        return np.array([v.coords for v in self.vertices], dtype=float)
+        return _sample_arrays(self.vertices)
 
 
 def tropical_combination(lambdas: Sequence[float], P: TropicalPolytope) -> TropicalPoint:
@@ -194,19 +224,14 @@ def tropical_combination(lambdas: Sequence[float], P: TropicalPolytope) -> Tropi
         raise ValueError("one coefficient per vertex required")
     if all(v == NEG_INF for v in lam):
         raise ValueError("at least one coefficient must be finite")
-    D = P.matrix()
-    shifted = D + np.asarray(lam, dtype=float)[:, None]
-    return canonicalize(shifted.max(axis=0))
+    return canonicalize(_combine(np.asarray(lam, dtype=float), P.matrix()))
 
 
 def project_onto_polytope(x: TropicalPoint, P: TropicalPolytope) -> TropicalPoint:
     """Nearest-point map onto tconv(P): lambda_l = min_j(x_j - D^(l)_j)."""
     if x.dim != P.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {P.dim}")
-    xa = x.as_array()
-    D = P.matrix()
-    lam = (xa[None, :] - D).min(axis=1)
-    return canonicalize((D + lam[:, None]).max(axis=0))
+    return canonicalize(_project(x.as_array(), P.matrix())[1])
 
 
 def in_polytope(x: TropicalPoint, P: TropicalPolytope, tol: float = EQ_TOL) -> bool:

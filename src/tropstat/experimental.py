@@ -7,7 +7,7 @@ EXPERIMENTAL flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
@@ -16,14 +16,22 @@ import numpy as np
 from .core import (
     TropicalPoint,
     TropicalPolytope,
+    _combine,
+    _distances,
+    _project,
+    _sample_arrays,
     canonicalize,
-    project_onto_polytope,
-    trop_distance,
-    tropical_combination,
 )
 from .location import fermat_weber
 
 EXPERIMENTAL = True
+
+# regression coordinate descent: starts, cycles per start, the improvement
+# below which a start stops, and the half-width of each line search
+N_STARTS = 4
+MAX_CYCLES = 60
+CYCLE_TOL = 1e-10
+SPAN = 4.0
 
 
 @dataclass
@@ -45,18 +53,9 @@ class RegressionModel:
 
 
 @dataclass
-class RegressionConfig:
-    n_starts: int = 4
-    max_cycles: int = 60
-    tol: float = 1e-10
-    span: float = 4.0
-
-
-@dataclass
 class LdaConfig:
     grid: int = 8
     max_iters: int = 120
-    perturb_scale: Optional[float] = None  # default 0.1 * data range
 
 
 def trop_predict(beta: Sequence[float], x: Sequence[float]) -> float:
@@ -94,13 +93,10 @@ def _golden_section(fun, lo, hi, iters=60):
     return mid, fun(mid)
 
 
-def fit_regression(
-    data, seed: int = 0, config: Optional[RegressionConfig] = None
-) -> RegressionModel:
+def fit_regression(data, seed: int = 0) -> RegressionModel:
     """Cyclic coordinate descent with golden-section line search per beta."""
     if not data:
         raise ValueError("empty data")
-    cfg = config or RegressionConfig()
     e = len(data[0][0])
     ys = [y for _, y in data]
     rng = np.random.default_rng(seed)
@@ -112,14 +108,14 @@ def fit_regression(
     ]
     starts.append(np.asarray(heur))
     scale = max(1.0, float(np.ptp(ys)))
-    for _ in range(cfg.n_starts - 1):
+    for _ in range(N_STARTS - 1):
         starts.append(np.asarray(heur) + rng.uniform(-scale, scale, size=e + 1))
 
     best_beta, best_val = None, np.inf
     for beta in starts:
         beta = beta.copy()
         val = regression_objective(beta, data)
-        for _ in range(cfg.max_cycles):
+        for _ in range(MAX_CYCLES):
             prev = val
             for k in range(e + 1):
                 def fun(t, k=k):
@@ -127,10 +123,10 @@ def fit_regression(
                     trial[k] = t
                     return regression_objective(trial, data)
 
-                t, ft = _golden_section(fun, beta[k] - cfg.span, beta[k] + cfg.span)
+                t, ft = _golden_section(fun, beta[k] - SPAN, beta[k] + SPAN)
                 if ft < val:
                     beta[k], val = t, ft
-            if prev - val < cfg.tol:
+            if prev - val < CYCLE_TOL:
                 break
         if val < best_val:
             best_beta, best_val = beta.copy(), val
@@ -141,6 +137,35 @@ def _lattice(grid: int, spread: float, s: int):
     """Nested coefficient lattice: doubling grid refines the previous one."""
     axis = [-spread + 2.0 * spread * k / grid for k in range(grid + 1)]
     return product(*([axis] * (s - 1)))
+
+
+def _lda(D: np.ndarray, X1: np.ndarray, X2: np.ndarray, grid: int, w=None):
+    """The LDA candidate w, with canonical vertex rows D, for the class
+    matrices X1 and X2.
+
+    Each class is projected onto the polytope in one call, and its
+    constrained Fermat-Weber point mu'_k is the first best point of a
+    deterministic lattice of tropical combinations of the vertices.
+    """
+    spread = max(float(_distances(D[:, None, :], D).max()), 1.0)
+    lam = np.array([(0.0,) + tail for tail in _lattice(grid, spread, len(D))])
+    Z = _combine(lam, D)
+
+    def inner_min(X):
+        proj = _project(X, D)[1]
+        sums = [sum(row) for row in _distances(Z[:, None, :], proj).tolist()]
+        k = sums.index(min(sums))
+        return Z[k], sums[k]
+
+    (mu1, s1), (mu2, s2) = inner_min(X1), inner_min(X2)
+    return LdaCandidate(
+        polytope=w,
+        mu1=TropicalPoint(tuple(mu1.tolist())),
+        mu2=TropicalPoint(tuple(mu2.tolist())),
+        s1=s1,
+        s2=s2,
+        objective=float(_distances(mu1, mu2)) - s1 - s2,
+    )
 
 
 def lda_objective(
@@ -156,31 +181,7 @@ def lda_objective(
     """
     if not S1 or not S2:
         raise ValueError("both samples must be nonempty")
-    proj1 = [project_onto_polytope(u, w) for u in S1]
-    proj2 = [project_onto_polytope(u, w) for u in S2]
-    spread = max(
-        [trop_distance(a, b) for a in w.vertices for b in w.vertices] + [1.0]
-    )
-
-    def inner_min(projs):
-        best = None
-        for tail in _lattice(grid, spread, w.n_vertices):
-            z = tropical_combination((0.0,) + tuple(tail), w)
-            val = sum(trop_distance(z, p) for p in projs)
-            if best is None or val < best[1]:
-                best = (z, val)
-        return best
-
-    mu1, s1 = inner_min(proj1)
-    mu2, s2 = inner_min(proj2)
-    return LdaCandidate(
-        polytope=w,
-        mu1=mu1,
-        mu2=mu2,
-        s1=s1,
-        s2=s2,
-        objective=trop_distance(mu1, mu2) - s1 - s2,
-    )
+    return _lda(w.matrix(), _sample_arrays(S1), _sample_arrays(S2), grid, w)
 
 
 def fit_lda(
@@ -194,28 +195,26 @@ def fit_lda(
         raise ValueError("both samples must be nonempty")
     cfg = config or LdaConfig()
     rng = np.random.default_rng(seed)
+    X1, X2 = _sample_arrays(S1), _sample_arrays(S2)
     v1 = fermat_weber(S1).point.as_array()
     v2 = fermat_weber(S2).point.as_array()
     if canonicalize(v1).close_to(canonicalize(v2)):
         v2 = v2 + 1.0 / np.arange(1, len(v2) + 1)  # degenerate seed split
-    data = np.array([p.coords for p in list(S1) + list(S2)])
-    scale = cfg.perturb_scale
-    if scale is None:
-        scale = 0.1 * max(float(np.ptp(data)), 1.0)
+    scale = 0.1 * max(float(np.ptp(np.vstack([X1, X2]))), 1.0)
 
-    def evaluate(a, b):
-        w = TropicalPolytope((canonicalize(a), canonicalize(b)))
-        return lda_objective(w, S1, S2, grid=cfg.grid)
+    def evaluate(verts):  # the polytope is built for the winner only
+        return _lda(np.array([v - v[0] for v in verts]), X1, X2, cfg.grid)
 
-    best = evaluate(v1, v2)
     verts = [v1.copy(), v2.copy()]
+    best = evaluate(verts)
     for _ in range(cfg.max_iters):
         which = int(rng.integers(0, 2))
         coord = int(rng.integers(0, len(v1)))
         delta = float(rng.choice([-scale, scale]))
         trial = [verts[0].copy(), verts[1].copy()]
         trial[which][coord] += delta
-        cand = evaluate(trial[0], trial[1])
+        cand = evaluate(trial)
         if cand.objective > best.objective + 1e-12:
             best, verts = cand, trial
+    best.polytope = TropicalPolytope(tuple(map(canonicalize, verts)))
     return best

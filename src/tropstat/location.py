@@ -8,17 +8,15 @@ tropical distance sum with deterministic multi-start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import TropicalPoint, canonicalize, trop_distance
+from .core import TropicalPoint, _distances, _sample_arrays, canonicalize
 from .solver import (
     MIN,
     OPTIMAL,
-    DescentConfig,
     LinearProgram,
-    Solution,
     minimize_convex,
     solve_lp,
 )
@@ -36,27 +34,14 @@ class LocationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sample_arrays(sample: Sequence[TropicalPoint]) -> np.ndarray:
-    if not sample:
-        raise ValueError("empty sample")
-    dims = {p.dim for p in sample}
-    if len(dims) != 1:
-        raise ValueError("sample points must share one dimension")
-    return np.array([p.coords for p in sample], dtype=float)
-
-
 def fw_objective(z: TropicalPoint, sample: Sequence[TropicalPoint]) -> float:
     """Sum of tropical distances from z to the sample."""
-    V = _sample_arrays(sample)
-    diff = z.as_array()[None, :] - V
-    return float((diff.max(axis=1) - diff.min(axis=1)).sum())
+    return float(_distances(z.as_array(), _sample_arrays(sample)).sum())
 
 
 def frechet_objective(z: TropicalPoint, sample: Sequence[TropicalPoint]) -> float:
     """Sum of squared tropical distances from z to the sample."""
-    V = _sample_arrays(sample)
-    diff = z.as_array()[None, :] - V
-    d = diff.max(axis=1) - diff.min(axis=1)
+    d = _distances(z.as_array(), _sample_arrays(sample))
     return float((d * d).sum())
 
 
@@ -185,9 +170,7 @@ def _cone_fw_lp(V, node_of, edges):
     return _fw_lp(V, Y, extra)
 
 
-def frechet_mean(
-    sample: Sequence[TropicalPoint], config: Optional[DescentConfig] = None
-) -> LocationResult:
+def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:
     """Multi-start subgradient descent on the squared-distance sum.
 
     Starts at every sample point plus their coordinatewise median.
@@ -206,7 +189,7 @@ def frechet_mean(
         return float((d * d).sum()), g
 
     starts = [row for row in V] + [np.median(V, axis=0)]
-    z, val = minimize_convex(f, V.shape[1], starts, config)
+    z, val = minimize_convex(f, V.shape[1], starts)
     raw = tuple(float(v) for v in z)
     return LocationResult(
         point=canonicalize(raw),

@@ -7,7 +7,7 @@ scans every vertex subset and is intended for small fixtures only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -16,9 +16,10 @@ import numpy as np
 from .core import (
     TropicalPoint,
     TropicalPolytope,
-    project_onto_polytope,
-    trop_distance,
-    tropical_combination,
+    _combine,
+    _distances,
+    _project,
+    _sample_arrays,
 )
 from .treeio import three_point_check
 
@@ -32,16 +33,14 @@ class PcaModel:
     vertex_indices: tuple[int, ...] = ()  # sample indices of the vertices
 
 
+def _residual(X: np.ndarray, D: np.ndarray) -> float:
+    """Sum of d_tr(x, proj(x)) over the rows of X, left to right."""
+    return sum(_distances(X, _project(X, D)[1]).tolist())
+
+
 def pca_objective(P: TropicalPolytope, S: Sequence[TropicalPoint]) -> float:
     """Total projection residual: sum of d_tr(u, proj(u)) over the sample."""
-    if not S:
-        raise ValueError("empty sample")
-    return sum(trop_distance(u, project_onto_polytope(u, P)) for u in S)
-
-
-def _subset_objective(S, indices) -> float:
-    P = TropicalPolytope(tuple(S[i] for i in indices))
-    return pca_objective(P, S)
+    return _residual(_sample_arrays(S), P.matrix())
 
 
 def exhaustive_principal_polytope(
@@ -50,10 +49,12 @@ def exhaustive_principal_polytope(
     """Best s-subset of sample points by brute force (oracle; |S| small)."""
     if not (1 <= s <= len(S)):
         raise ValueError("vertex count out of range")
+    X = _sample_arrays(S)
+    V = X - X[:, :1]  # canonical rows, the candidate vertices
     best = None
     for indices in combinations(range(len(S)), s):
-        obj = _subset_objective(S, indices)
-        if best is None or obj < best[1] - 0.0:
+        obj = _residual(X, V[list(indices)])
+        if best is None or obj < best[1]:
             best = (indices, obj)
     return best
 
@@ -63,28 +64,28 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
 
     Greedy farthest-point initialization, then first-improvement sweeps in
     deterministic scan order until a sweep makes no strict improvement.
+    Vertices are row indices of the sample matrix.
     """
     n = len(S)
     if not (1 <= s <= n):
         raise ValueError("vertex count out of range")
-    dist = np.array([[trop_distance(a, b) for b in S] for a in S])
+    X = _sample_arrays(S)
+    V = X - X[:, :1]
+    dist = _distances(X[:, None, :], X)
 
     current = [0]
     if s >= 2:
-        # farthest pair, smallest indices on ties
-        best = (-1.0, (0, 1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dist[i, j] > best[0]:
-                    best = (dist[i, j], (i, j))
-        current = list(best[1])
+        # farthest pair: the first row-major maximum, smallest indices on ties
+        rows, cols = np.triu_indices(n, 1)
+        k = int(dist[rows, cols].argmax())
+        current = [int(rows[k]), int(cols[k])]
     while len(current) < s:
         scores = dist[:, current].sum(axis=1)
         scores[current] = -np.inf
         current.append(int(np.argmax(scores)))
     current = sorted(current)
 
-    obj = _subset_objective(S, current)
+    obj = _residual(X, V[current])
     trace = [obj]
     improved = True
     while improved:
@@ -94,7 +95,7 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
                 if cand in current:
                     continue
                 trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
-                trial_obj = _subset_objective(S, trial)
+                trial_obj = _residual(X, V[trial])
                 if trial_obj < obj - 1e-12:
                     current, obj = trial, trial_obj
                     trace.append(obj)
@@ -104,20 +105,14 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
                 break
 
     P = TropicalPolytope(tuple(S[i] for i in current))
-    assignment = tuple(project_onto_polytope(u, P) for u in S)
+    proj = _project(X, V[current])[1]
     return PcaModel(
         polytope=P,
         objective=obj,
-        assignment=assignment,
+        assignment=tuple(TropicalPoint(tuple(p)) for p in proj.tolist()),
         trace=tuple(trace),
         vertex_indices=tuple(current),
     )
-
-
-def projection_weights(P: TropicalPolytope, u: TropicalPoint) -> np.ndarray:
-    """Combination weights of the nearest-point map, shifted so the first is 0."""
-    lam = (u.as_array()[None, :] - P.matrix()).min(axis=1)
-    return lam - lam[0]
 
 
 def pca_coordinates(
@@ -126,11 +121,9 @@ def pca_coordinates(
     """2-D plotting coordinates from normalized projection weights (s = 3)."""
     if model.polytope.n_vertices != 3:
         raise ValueError("2-D coordinates require a 3-vertex polytope")
-    out = []
-    for u in S:
-        lam = projection_weights(model.polytope, u)
-        out.append((float(lam[1]), float(lam[2])))
-    return out
+    lam = _project(_sample_arrays(S), model.polytope.matrix())[0]
+    lam = lam - lam[:, :1]
+    return [(a, b) for a, b in lam[:, 1:].tolist()]
 
 
 def check_ultrametric_cells(
@@ -141,13 +134,7 @@ def check_ultrametric_cells(
         if not three_point_check(v.coords, tol=tol):
             raise ValueError("polytope vertex fails the three-point condition")
     rng = np.random.default_rng(seed)
-    spread = max(
-        trop_distance(a, b) for a in P.vertices for b in P.vertices
-    )
-    spread = max(spread, 1.0)
-    for _ in range(trials):
-        lam = rng.uniform(-spread, spread, size=P.n_vertices)
-        z = tropical_combination(lam, P)
-        if not three_point_check(z.coords, tol=tol):
-            return False
-    return True
+    D = P.matrix()
+    spread = max(float(_distances(D[:, None, :], D).max()), 1.0)
+    lam = rng.uniform(-spread, spread, size=(trials, P.n_vertices))
+    return all(three_point_check(z, tol=tol) for z in _combine(lam, D))

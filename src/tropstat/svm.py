@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TropicalHyperplane, TropicalPoint, canonicalize
+from .core import TropicalHyperplane, TropicalPoint, _sample_arrays, canonicalize
 from .solver import MAX, OPTIMAL, LinearProgram, solve_lp
 
 HARD = "HARD"
@@ -93,7 +93,7 @@ def _assignments(e: int):
 
 
 def _svm_lp(
-    sample: LabeledSample, asg: SectorAssignment, C: Optional[float] = None
+    X: np.ndarray, labels, asg: SectorAssignment, C: Optional[float] = None
 ) -> LinearProgram:
     """The separation LP of one assignment: max z, or z - C * total slack.
 
@@ -103,12 +103,12 @@ def _svm_lp(
     minus i, + z), the sector row (plus j, minus i), then one row per
     other coordinate l (plus l, minus j).  Soft mode subtracts the row's
     own slack, ordered alpha (margin rows), beta (sector rows), gamma.
+    X is the (n, e) sample matrix, one label per row.
     """
-    X = np.array([p.coords for p in sample.points])
     n, e = X.shape
     order = np.array(
         [[i, j] + [l for l in range(e) if l not in (i, j)]
-         for i, j in map(asg.pair_for, sample.labels)]
+         for i, j in map(asg.pair_for, labels)]
     )
     i, j = order[:, :1], order[:, 1:2]
     plus = np.hstack([j, j, order[:, 2:]])
@@ -146,9 +146,10 @@ def _train(sample: LabeledSample, C: Optional[float], tol: float):
     _check_classes(sample)
     if C is not None and not C > 0:
         raise ValueError(f"C must be positive, got {C}")
+    X = _sample_arrays(sample.points)
     best = None
     for asg in _assignments(sample.dim):
-        sol = solve_lp(_svm_lp(sample, asg, C))
+        sol = solve_lp(_svm_lp(X, sample.labels, asg, C))
         if sol.status != OPTIMAL:
             continue
         obj = float(sol.objective_value)

@@ -8,6 +8,7 @@ import pytest
 from tropstat import (
     SimConfig,
     TropicalPoint,
+    canonicalize,
     cophenetic,
     parse_newick,
     simulate_equidistant,
@@ -102,3 +103,41 @@ def seeded_vectors(seed: int, count: int) -> list[np.ndarray]:
             v = rng.normal(-5.0, 2.0, size=e)
         out.append(v)
     return out
+
+
+# Two pairs tie at the largest distance, 5: (0, 5) and (3, 5).  As the
+# vertices of a 2-vertex polytope they leave residuals 7 and 5.
+TIED_FARTHEST = [(0, 2, 0), (0, 0, 2), (0, -2, 0), (0, 0, -2), (0, -1, -1), (0, -1, 2)]
+
+
+def seeded_samples(seed: int, count: int) -> list[list[TropicalPoint]]:
+    """Samples of 4-9 points, cycling through integer rows in {0, 1, 2}
+    (many ties), ultrametrics on 4 leaves and Gaussian rows, then the
+    TIED_FARTHEST sample."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        n = int(rng.integers(4, 10))
+        kind = t % 3
+        if kind == 0:
+            X = rng.integers(0, 3, size=(n, int(rng.integers(3, 7)))).astype(float)
+        elif kind == 1:
+            out.append(ultrametric_points(4, seed + t, n))
+            continue
+        else:
+            X = rng.normal(size=(n, 6))
+        out.append([TropicalPoint(tuple(r)) for r in X])
+    return out + [[TropicalPoint(p) for p in TIED_FARTHEST]]
+
+
+def reference_distance(v, w) -> float:
+    """The tropical metric, written per point pair."""
+    diff = v.as_array() - w.as_array()
+    return float(diff.max() - diff.min())
+
+
+def reference_projection(u, D) -> tuple[np.ndarray, TropicalPoint]:
+    """The per-point nearest-point map onto the vertex rows D: the weights
+    and the canonical projection."""
+    lam = (u.as_array()[None, :] - D).min(axis=1)
+    return lam, canonicalize((D + lam[:, None]).max(axis=0))

@@ -7,9 +7,17 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tropstat import cli
+from tropstat import cli, treeio
 from tropstat.cli import main
-from tropstat import SimConfig, cophenetic, make_two_class_sample, simulate_equidistant
+from tropstat import (
+    DissimilarityMap,
+    SimConfig,
+    cophenetic,
+    make_two_class_sample,
+    simulate_equidistant,
+    topology_id,
+    ultrametric_to_tree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +282,38 @@ class TestTreeCommands:
         env = envelope_of(out)
         assert env["result"]["all_ultrametric"] is True
         assert env["result"]["topology_count"] >= 1
+
+    def test_check_runs_one_three_point_check_per_row(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        pts = tmp_path / "u4.csv"
+        write_u4_csv(pts, seed=7, count=40)
+        names = ("t1", "t2", "t3", "t4")
+        maps = [
+            DissimilarityMap(4, tuple(map(float, ln.split(","))), names)
+            for ln in pts.read_text().splitlines()
+        ]
+        topologies = {topology_id(ultrametric_to_tree(u)) for u in maps}
+        calls = []
+        real = treeio.three_point_check
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(treeio, "three_point_check", counting)
+        monkeypatch.setattr(cli, "three_point_check", counting)
+        code, out = run(capsys, "tree", "check", str(pts))
+        env = envelope_of(out)
+        assert code == 0
+        assert len(calls) == 40
+        assert env["result"]["verdicts"] == [True] * 40
+        assert env["result"]["topology_count"] == len(topologies) > 1
+
+    def test_missing_input_is_5(self, capsys):
+        code, out = run(capsys, "tree", "check")
+        assert code == 5
+        assert envelope_of(out)["result"]["message"] == "missing input file"
 
     def test_simulate_writes_newick(self, capsys, tmp_path):
         out_file = tmp_path / "sim.nwk"

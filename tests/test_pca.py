@@ -13,7 +13,69 @@ from tropstat import (
     pca_coordinates,
     pca_objective,
 )
-from conftest import ultrametric_points
+from conftest import (
+    TIED_FARTHEST,
+    reference_distance,
+    reference_projection,
+    seeded_samples,
+    ultrametric_points,
+)
+
+
+def reference_objective(D, S):
+    """The per-point pca_objective that the array version replaced."""
+    return sum(reference_distance(u, reference_projection(u, D)[1]) for u in S)
+
+
+def reference_fit(S, s):
+    """The per-point fit_principal_polytope that the array version replaced,
+    with its farthest-pair double loop: (vertex indices, objective, trace,
+    projections)."""
+    n = len(S)
+    dist = np.array([[reference_distance(a, b) for b in S] for a in S])
+    current = [0]
+    if s >= 2:
+        best = (-1.0, (0, 1))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if dist[i, j] > best[0]:
+                    best = (dist[i, j], (i, j))
+        current = list(best[1])
+    while len(current) < s:
+        scores = dist[:, current].sum(axis=1)
+        scores[current] = -np.inf
+        current.append(int(np.argmax(scores)))
+    current = sorted(current)
+
+    def vertices(idx):
+        return TropicalPolytope(tuple(S[i] for i in idx)).matrix()
+
+    obj = reference_objective(vertices(current), S)
+    trace = [obj]
+    improved = True
+    while improved:
+        improved = False
+        for pos in range(s):
+            for cand in range(n):
+                if cand in current:
+                    continue
+                trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
+                trial_obj = reference_objective(vertices(trial), S)
+                if trial_obj < obj - 1e-12:
+                    current, obj = trial, trial_obj
+                    trace.append(obj)
+                    improved = True
+                    break
+            if improved:
+                break
+    projections = [reference_projection(u, vertices(current))[1] for u in S]
+    return tuple(current), obj, tuple(trace), projections
+
+
+def reference_weights(D, u):
+    """The projection_weights helper that pca_coordinates used."""
+    lam = reference_projection(u, D)[0]
+    return lam - lam[0]
 
 
 class TestObjective:
@@ -84,6 +146,36 @@ class TestFit:
         b = fit_principal_polytope(S, 3)
         assert a.vertex_indices == b.vertex_indices
         assert a.objective == b.objective
+
+
+class TestMatchesPerPointReference:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fit_bit_for_bit(self, seed):
+        for S in seeded_samples(seed, 9):
+            for s in range(1, 5):
+                model = fit_principal_polytope(S, s)
+                indices, obj, trace, projections = reference_fit(S, s)
+                assert model.vertex_indices == indices
+                assert model.objective == obj
+                assert model.trace == trace
+                assert [p.coords for p in model.assignment] == [
+                    p.coords for p in projections
+                ]
+                D = model.polytope.matrix()
+                assert pca_objective(model.polytope, S) == reference_objective(D, S)
+
+    def test_farthest_pair_tie_takes_first_pair(self):
+        # the search starts at (0, 5), the first of the tied pairs
+        S = [TropicalPoint(p) for p in TIED_FARTHEST]
+        assert fit_principal_polytope(S, 2).trace[0] == 7.0
+        assert reference_fit(S, 2)[2][0] == 7.0
+
+    def test_coordinates_bit_for_bit(self):
+        for S in seeded_samples(3, 9):
+            model = fit_principal_polytope(S, 3)
+            D = model.polytope.matrix()
+            expected = [tuple(reference_weights(D, u)[1:].tolist()) for u in S]
+            assert pca_coordinates(model, S) == expected
 
 
 class TestCoordinates:

@@ -31,3 +31,12 @@ def test_pca_demo(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "pd.coords.csv").read_text().count("\n") == 8
     assert (tmp_path / "pd.svg").read_text().startswith("<svg")
+
+
+def test_svm_experiment():
+    proc = run_script("svm_experiment.py", "--per-class", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["separation", "hard", "z*", "hard", "acc",
+                                "soft", "obj", "soft", "acc"]
+    assert len(lines) == 6

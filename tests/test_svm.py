@@ -152,11 +152,12 @@ class TestBuilder:
     @pytest.mark.parametrize("C", [None, 10.0])
     def test_matches_row_by_row_reference(self, C):
         sample = separable_sample()
+        X = np.array([p.coords for p in sample.points])
         n_assignments = 0
         for asg in _assignments(sample.dim):
             ref = (reference_hard_lp(sample, asg) if C is None
                    else reference_soft_lp(sample, asg, C))
-            assert lp_bytes(_svm_lp(sample, asg, C)) == lp_bytes(ref)
+            assert lp_bytes(_svm_lp(X, sample.labels, asg, C)) == lp_bytes(ref)
             n_assignments += 1
         assert n_assignments == 750
 
