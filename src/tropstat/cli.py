@@ -30,7 +30,7 @@ from .pca import fit_principal_polytope, pca_coordinates
 from .svm import (
     LabeledSample,
     NotSeparableError,
-    classify,
+    _labels,
     load_model,
     model_to_dict,
     save_model,
@@ -83,14 +83,13 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
 def emit(command, result, diagnostics=None, seed=None, status="ok", quiet=False):
+    """Print the result envelope, unless quiet; errors always print."""
+    if quiet and status != "error":
+        return
     envelope = {
         "command": command,
         "status": status,
@@ -99,9 +98,7 @@ def emit(command, result, diagnostics=None, seed=None, status="ok", quiet=False)
         "seed": seed,
         "version": __version__,
     }
-    if not quiet or status == "error":
-        print(json.dumps(envelope, sort_keys=True))
-    return envelope
+    print(json.dumps(envelope, sort_keys=True))
 
 
 def parse_vector(text: str) -> list[float]:
@@ -114,7 +111,9 @@ def parse_vector(text: str) -> list[float]:
     return vec
 
 
-def read_points(path: str, header: bool) -> list[list[float]]:
+def read_points(path: str, header: bool) -> np.ndarray:
+    """The (n, e) float64 matrix of a CSV file's data rows; blank lines are
+    skipped, and a bad cell or row is reported as path:line."""
     rows = []
     linenos = []
     try:
@@ -140,15 +139,16 @@ def read_points(path: str, header: bool) -> list[list[float]]:
         raise CliError(str(exc), EXIT_PARSE)
     if not rows:
         raise CliError(f"{path}: no data rows", EXIT_PARSE)
-    finite = np.isfinite(rows).all(axis=1)
+    X = np.array(rows)
+    finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise CliError(f"{path}:{linenos[finite.argmin()]}: non-finite value", EXIT_PARSE)
-    return rows
+    return X
 
 
-def _points(rows) -> list[TropicalPoint]:
+def _points(X: np.ndarray) -> list[TropicalPoint]:
     try:
-        return [TropicalPoint(tuple(r)) for r in rows]
+        return [TropicalPoint(tuple(r)) for r in X.tolist()]
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE)
 
@@ -183,8 +183,8 @@ def cmd_metric(args):
     if "," in args.a:
         va, vb = parse_vector(args.a), parse_vector(args.b)
     else:
-        va = read_points(args.a, args.header)[0]
-        vb = read_points(args.b, args.header)[0]
+        va = read_points(args.a, args.header)[0].tolist()
+        vb = read_points(args.b, args.header)[0].tolist()
     if len(va) != len(vb):
         raise CliError("vectors have different dimensions", EXIT_DIMENSION)
     d = trop_distance(TropicalPoint(tuple(va)), TropicalPoint(tuple(vb)))
@@ -192,8 +192,7 @@ def cmd_metric(args):
 
 
 def _location(args, command):
-    rows = read_points(args.points, args.header)
-    pts = _points(rows)
+    pts = _points(read_points(args.points, args.header))
     try:
         res = fermat_weber(pts) if command == "fw" else frechet_mean(pts)
     except (RuntimeError, ValueError) as exc:
@@ -217,8 +216,7 @@ def _location(args, command):
 
 
 def cmd_pca(args):
-    rows = read_points(args.points, args.header)
-    pts = _points(rows)
+    pts = _points(read_points(args.points, args.header))
     if not (1 <= args.s <= len(pts)):
         raise CliError(f"s={args.s} out of range 1..{len(pts)}", EXIT_BAD_PARAM)
     model = fit_principal_polytope(pts, args.s)
@@ -248,18 +246,12 @@ def cmd_pca(args):
 
 def cmd_svm(args):
     if args.action == "train":
-        rows = read_points(args.data, args.header)
-        labels = []
-        feats = []
-        for row in rows:
-            label = row[-1]
-            if label not in (0.0, 1.0):
-                raise CliError(f"label {label} is not 0/1", EXIT_PARSE)
-            labels.append(int(label))
-            feats.append(row[:-1])
-        sample = LabeledSample(
-            tuple(TropicalPoint(tuple(f)) for f in feats), tuple(labels)
-        )
+        X = read_points(args.data, args.header)
+        labels = X[:, -1]
+        bad = (labels != 0.0) & (labels != 1.0)
+        if bad.any():
+            raise CliError(f"label {labels[bad.argmax()].tolist()} is not 0/1", EXIT_PARSE)
+        sample = LabeledSample(tuple(_points(X[:, :-1])), tuple(labels.astype(int).tolist()))
         try:
             if args.mode == "hard":
                 model = train_hard(sample)
@@ -287,13 +279,10 @@ def cmd_svm(args):
         model = load_model(args.model)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"bad model file: {exc}", EXIT_PARSE)
-    rows = read_points(args.data, args.header)
-    if model.omega.dim != len(rows[0]):
+    X = read_points(args.data, args.header)
+    if model.omega.dim != X.shape[1]:
         raise CliError("model and data dimensions differ", EXIT_DIMENSION)
-    labels = [classify(model, TropicalPoint(tuple(r))) for r in rows]
-    for label in labels:
-        print(label)
-    return emit("svm-predict", {"labels": labels}, quiet=True)
+    _write_lines(map(str, _labels(model, X).tolist()), None)
 
 
 def _read_newick_lines(path):
@@ -338,30 +327,21 @@ def cmd_tree(args):
         return emit("tree-newick2ultra", result, quiet=True if not args.out else args.quiet)
 
     if args.action == "ultra2newick":
-        rows = read_points(args.input, args.header)
         newicks = []
-        for lineno, row in enumerate(rows, start=1):
-            u = _row_to_map(row, lineno)
+        for lineno, u in _read_maps(args):
             try:
                 tree = ultrametric_to_tree(u, tol=args.tol)
             except ValueError:
-                raise CliError(
-                    f"row {lineno} fails the three-point condition",
-                    EXIT_NOT_ULTRAMETRIC,
-                )
+                raise CliError(f"row {lineno} fails the three-point condition",
+                               EXIT_NOT_ULTRAMETRIC)
             newicks.append(serialize_newick(tree))
         _write_lines(newicks, args.out)
         return emit("tree-ultra2newick", {"n_trees": len(newicks)},
                     quiet=True if not args.out else args.quiet)
 
     if args.action == "check":
-        rows = read_points(args.input, args.header)
-        verdicts = []
-        maps = []
-        for lineno, row in enumerate(rows, start=1):
-            u = _row_to_map(row, lineno)
-            maps.append(u)
-            verdicts.append(bool(three_point_check(u, tol=args.tol)))
+        maps = [u for _, u in _read_maps(args)]
+        verdicts = [bool(three_point_check(u, tol=args.tol)) for u in maps]
         result = {
             "all_ultrametric": all(verdicts),
             "verdicts": verdicts,
@@ -392,17 +372,23 @@ def cmd_tree(args):
                 quiet=True if not args.out else args.quiet)
 
 
-def _row_to_map(row, lineno):
-    try:
-        n = _leaves_for(len(row))
-    except ValueError:
-        raise CliError(
-            f"row {lineno}: length {len(row)} is not a binomial C(N,2)", EXIT_DIMENSION
-        )
-    try:
-        return DissimilarityMap(n, tuple(row), tuple(_leaf_names(n)))
-    except ValueError as exc:
-        raise CliError(f"row {lineno}: {exc}", EXIT_PARSE)
+def _read_maps(args):
+    """(row number, dissimilarity map) for each row of the input CSV, in order."""
+    for lineno, row in enumerate(read_points(args.input, args.header).tolist(), start=1):
+        try:
+            n = _leaves_for(len(row))
+        except ValueError:
+            raise CliError(
+                f"row {lineno}: length {len(row)} is not a binomial C(N,2)", EXIT_DIMENSION
+            )
+        if n < 3:
+            raise CliError(f"row {lineno}: a tree needs at least 3 leaves, got {n}",
+                           EXIT_DIMENSION)
+        try:
+            u = DissimilarityMap(n, tuple(row), tuple(_leaf_names(n)))
+        except ValueError as exc:
+            raise CliError(f"row {lineno}: {exc}", EXIT_PARSE)
+        yield lineno, u
 
 
 def cmd_lda(args):
@@ -424,7 +410,7 @@ def cmd_lda(args):
 
 
 def cmd_regress(args):
-    rows = read_points(args.data, args.header)
+    rows = read_points(args.data, args.header).tolist()
     if len(rows[0]) < 2:
         raise CliError("need at least one feature column plus a response", EXIT_PARSE)
     data = [(tuple(r[:-1]), r[-1]) for r in rows]

@@ -31,6 +31,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_leaves < 3:
             raise ValueError("need at least 3 leaves")
+        if not np.isfinite(self.height):
+            raise ValueError("height must be finite")
         if self.height <= 0:
             raise ValueError("height must be positive")
         if self.count < 1:

@@ -55,29 +55,28 @@ def build_fw_lp(sample: Sequence[TropicalPoint]) -> LinearProgram:
     points* (2018).
     """
     V = _sample_arrays(sample)
-    return _fw_lp(V, np.eye(V.shape[1]))
+    return _fw_lp(V, np.eye(V.shape[1]), np.zeros((0, V.shape[1])))
 
 
-def _fw_lp(V: np.ndarray, Y: np.ndarray, extra=()) -> LinearProgram:
+def _fw_lp(V: np.ndarray, Y: np.ndarray, E: np.ndarray) -> LinearProgram:
     """The compact FW LP with y = Y @ u over free variables u, a, b.
 
     The s*e upper-bound rows y_j - a_i <= v_ij (point-major) come first,
-    then the s*e lower-bound rows b_i - y_j <= -v_ij, then the rows in
-    extra, given over u alone.  Row order steers Bland's rule to one of
-    the optimal vertices: with the upper-bound block first, the plain
-    vertex was ultrametric on every seeded tree sample tried, so the cone
-    refinement seldom has to run.
+    then the s*e lower-bound rows b_i - y_j <= -v_ij, then the rows
+    E @ u <= 0.  Row order steers Bland's rule to one of the optimal
+    vertices: with the upper-bound block first, the plain vertex was
+    ultrametric on every seeded tree sample tried, so the cone refinement
+    seldom has to run.
     """
     s, e = V.shape
     Yrep = np.tile(Y, (s, 1))
     point = np.repeat(np.eye(s), e, axis=0)
     zero = np.zeros_like(point)
-    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point])])
-    rhs = np.concatenate([V.ravel(), -V.ravel()])
-    constraints = [(r, "<=", b) for r, b in zip(rows.tolist(), rhs.tolist())]
-    constraints += [(list(r) + [0.0] * (2 * s), "<=", float(b)) for r, b in extra]
-    objective = [0.0] * Y.shape[1] + [1.0] * s + [-1.0] * s
-    return LinearProgram(MIN, objective, constraints)
+    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point]),
+                      np.hstack([E, np.zeros((len(E), 2 * s))])])
+    rhs = np.concatenate([V.ravel(), -V.ravel(), np.zeros(len(E))])
+    objective = np.concatenate([np.zeros(Y.shape[1]), np.ones(s), -np.ones(s)])
+    return LinearProgram(MIN, objective, rows, rhs)
 
 
 def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
@@ -161,13 +160,9 @@ def _cone_fw_lp(V, node_of, edges):
     n_nodes = max(node_of) + 1
     Y = np.zeros((e, n_nodes))
     Y[np.arange(e), node_of] = 2.0
-    extra = []
-    for child, parent in edges:
-        row = [0.0] * n_nodes
-        row[child] = 1.0
-        row[parent] = -1.0
-        extra.append((row, 0.0))
-    return _fw_lp(V, Y, extra)
+    child, parent = np.array(edges, dtype=int).reshape(-1, 2).T
+    unit = np.eye(n_nodes)
+    return _fw_lp(V, Y, unit[child] - unit[parent])
 
 
 def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:

@@ -8,6 +8,7 @@ deterministic and optima are vertex solutions of the lifted polyhedron.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,42 +27,57 @@ FEAS_TOL = 1e-8
 
 @dataclass
 class LinearProgram:
-    """Dense LP: optimize objective . x subject to rows (coeffs, rel, rhs).
+    """Dense LP in scipy.optimize.linprog's shapes: optimize objective . x
+    subject to A_ub @ x <= b_ub and A_eq @ x == b_eq.
 
-    rel is one of "<=", ">=", "=".  bounds holds one (lower, upper) pair
-    per variable; None means unbounded on that side.  Variables default to
-    free.
+    A greater-or-equal row is written as a negated A_ub row.  bounds
+    holds one (lower, upper) pair per variable; None means unbounded on
+    that side.  Variables default to free.
     """
 
     sense: str
     objective: Sequence[float]
-    constraints: list[tuple[Sequence[float], str, float]]
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    A_eq: Optional[np.ndarray] = None
+    b_eq: Optional[np.ndarray] = None
     bounds: Optional[list[tuple[Optional[float], Optional[float]]]] = None
 
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check the LP; return its rows and right-hand sides as arrays."""
+    @property
+    def constraints(self) -> np.ndarray:
+        """Every row, A_ub then A_eq.  perfbench/tracer.py sizes each solve
+        as len(lp.constraints) * lp.n_vars(), so the name stays."""
+        return self.validate()[0]
+
+    def validate(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Check the LP; return its rows (A_ub, then A_eq) and right-hand
+        sides as float arrays, and the number of A_ub rows."""
         if self.sense not in (MIN, MAX):
             raise ValueError(f"bad sense {self.sense!r}")
         n = self.n_vars()
         if n == 0:
             raise ValueError("LP has no variables")
-        for row, rel, _ in self.constraints:
-            if len(row) != n:
+        blocks = []
+        for A, b in ((self.A_ub, self.b_ub), (self.A_eq, self.b_eq)):
+            A = np.asarray(np.zeros((0, n)) if A is None else A, dtype=float)
+            b = np.asarray([] if b is None else b, dtype=float)
+            if A.ndim != 2 or A.shape[1] != n:
                 raise ValueError("constraint row length mismatch")
-            if rel not in ("<=", ">=", "="):
-                raise ValueError(f"bad relation {rel!r}")
-        R = np.array([row for row, _, _ in self.constraints], dtype=float).reshape(-1, n)
-        rhs = np.array([b for _, _, b in self.constraints], dtype=float)
+            if b.shape != (len(A),):
+                raise ValueError("rhs length mismatch")
+            blocks += [A, b]
+        A_ub, b_ub, A_eq, b_eq = blocks
+        R, rhs = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
         if not (np.isfinite(self.objective).all() and np.isfinite(R).all()):
             raise ValueError("objective and row coefficients must be finite")
         if not np.isfinite(rhs).all():
             raise ValueError("rhs must be finite")
         if self.bounds is not None and len(self.bounds) != n:
             raise ValueError("bounds length mismatch")
-        return R, rhs
+        return R, rhs, len(A_ub)
 
 
 @dataclass
@@ -73,7 +89,7 @@ class Solution:
 
 def solve_lp(lp: LinearProgram) -> Solution:
     """Two-phase dense simplex with Bland's rule (deterministic)."""
-    R, rhs = lp.validate()
+    R, rhs, n_ub = lp.validate()
     n = lp.n_vars()
 
     # Rewrite the variables over nonnegative columns p as x = off + M @ p:
@@ -99,20 +115,15 @@ def solve_lp(lp: LinearProgram) -> Solution:
     for k, (j, sign) in enumerate(cols):
         M[j, k] = sign
 
-    rels = [rel for _, rel, _ in lp.constraints] + ["<="] * len(box)
-    m = len(rels)
+    m = len(R) + len(box)
     c = np.asarray(lp.objective, dtype=float) @ M
     if lp.sense == MAX:
         c = -c
 
-    if m == 0:
-        # Unconstrained over the nonnegative columns: bounded iff c >= 0.
-        if np.all(c >= -PIVOT_TOL):
-            return _recover(lp, off, M, np.zeros(ncols))
-        return Solution(UNBOUNDED, None, None)
-
-    # Equality form with one slack column per row; make rhs nonnegative.
-    slack = [1.0 if rel == "<=" else -1.0 if rel == ">=" else 0.0 for rel in rels]
+    # Equality form: a +1 slack column for each A_ub and box row, none for
+    # the A_eq rows; then make rhs nonnegative.
+    slack = np.ones(m)
+    slack[n_ub : len(R)] = 0.0
     A = np.hstack([np.vstack([R @ M, np.eye(ncols)[[k for k, _ in box]]]), np.diag(slack)])
     b = np.concatenate([rhs - R @ off, [ub for _, ub in box]])
     neg = b < 0
@@ -139,7 +150,7 @@ def solve_lp(lp: LinearProgram) -> Solution:
         status = _simplex(T, basis, cost, ntot)
         if status == UNBOUNDED:  # cannot happen for phase 1
             return Solution(INFEASIBLE, None, None)
-        if _objective_of(T, basis, cost) > FEAS_TOL:
+        if sum(cost[b] * T[i, -1] for i, b in enumerate(basis)) > FEAS_TOL:
             return Solution(INFEASIBLE, None, None)
         # Drive remaining artificials out of the basis.
         for i in range(m):
@@ -159,19 +170,11 @@ def solve_lp(lp: LinearProgram) -> Solution:
         return Solution(UNBOUNDED, None, None)
 
     xcols = np.zeros(total)
-    basic = np.array(basis) < total
-    xcols[np.array(basis)[basic]] = T[basic, -1]
-    return _recover(lp, off, M, xcols[:ncols])
-
-
-def _recover(lp: LinearProgram, off, M, xcols: np.ndarray) -> Solution:
-    x = off + M @ xcols
-    val = float(np.dot(np.asarray(lp.objective, dtype=float), x))
-    return Solution(OPTIMAL, x, val)
-
-
-def _objective_of(T, basis, cost) -> float:
-    return float(sum(cost[basis[i]] * T[i, -1] for i in range(len(basis))))
+    basis = np.array(basis, dtype=int)
+    basic = basis < total
+    xcols[basis[basic]] = T[basic, -1]
+    x = off + M @ xcols[:ncols]
+    return Solution(OPTIMAL, x, float(np.dot(np.asarray(lp.objective, dtype=float), x)))
 
 
 def _pivot(T, basis, row, col):
@@ -186,10 +189,20 @@ def _pivot(T, basis, row, col):
 
 
 def _simplex(T, basis, cost, k: int) -> str:
-    """Minimize cost over the tableau's first k columns with Bland's rule."""
-    while True:
+    """Minimize cost over the tableau's first k columns with Bland's rule.
+
+    Exact Bland's rule never returns to a basis; RuntimeError is raised when
+    round-off does (bases compared by hash) or overflows the reduced costs.
+    """
+    seen = set()
+    for pivots in itertools.count():
         # Reduced costs: c_j - c_B . B^-1 A_j
         red = cost[:k] - cost[basis] @ T[:, :k]
+        key = hash(tuple(basis))
+        if key in seen or not np.isfinite(red).all():
+            raise RuntimeError(f"simplex stopped after {pivots} pivots: round-off "
+                               "repeated a basis or overflowed the reduced costs")
+        seen.add(key)
         eligible = (red < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return OPTIMAL

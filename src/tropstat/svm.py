@@ -130,7 +130,7 @@ def _svm_lp(
         rows = np.hstack([rows, S])
         objective = np.concatenate([objective, np.full(m, -C)])
         bounds = [(None, None)] * (e + 1) + [(0.0, None)] * m
-    return LinearProgram(MAX, objective, [(r, "<=", b) for r, b in zip(rows, rhs)], bounds)
+    return LinearProgram(MAX, objective, rows, rhs, bounds=bounds)
 
 
 def _check_classes(sample: LabeledSample):
@@ -200,21 +200,24 @@ def train_soft(sample: LabeledSample, C: float) -> SvmModel:
     )
 
 
+def _labels(model: SvmModel, X: np.ndarray, tol: float = SEP_TOL) -> np.ndarray:
+    """Labels of the rows of X: 0 where the class-P designated coordinate
+    of x + omega wins (ties to 0), else 1."""
+    w = model.omega.as_array()
+    ip, iq = model.assignment.ip, model.assignment.iq
+    return np.where(X[:, ip] + w[ip] >= X[:, iq] + w[iq] - tol, 0, 1)
+
+
 def classify(model: SvmModel, x: TropicalPoint, tol: float = SEP_TOL) -> int:
     """0 if the class-P designated coordinate of x + omega wins (ties to 0)."""
     if x.dim != model.omega.dim:
         raise ValueError("dimension mismatch")
-    vals = x.as_array() + model.omega.as_array()
-    return 0 if vals[model.assignment.ip] >= vals[model.assignment.iq] - tol else 1
+    return int(_labels(model, x.as_array()[None, :], tol)[0])
 
 
 def training_accuracy(model: SvmModel, sample: LabeledSample) -> float:
-    hits = sum(
-        1
-        for p, label in zip(sample.points, sample.labels)
-        if classify(model, p) == label
-    )
-    return hits / len(sample.points)
+    hits = _labels(model, _sample_arrays(sample.points)) == sample.labels
+    return int(hits.sum()) / len(sample.points)
 
 
 def model_to_dict(model: SvmModel) -> dict:

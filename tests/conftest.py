@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,19 @@ FIG_RIGHT_NEWICK = "((a:0.1,b:0.1):0.9,(c:0.5,d:0.5):0.5);"
 
 FIG_LEFT_VECTOR = (1.2, 1.8, 2.0, 1.8, 2.0, 2.0)
 FIG_RIGHT_VECTOR = (0.2, 2.0, 2.0, 2.0, 2.0, 1.0)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """The environment with the repository's src/ first on PYTHONPATH, for
+    running the package in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture

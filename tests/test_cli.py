@@ -1,12 +1,15 @@
 """CLI contract: envelopes, exit codes, artifacts, and determinism."""
 
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from conftest import src_env
 from tropstat import cli, treeio
 from tropstat.cli import main
 from tropstat import (
@@ -244,6 +247,40 @@ class TestSvmCommands:
         labels = [ln for ln in out.strip().splitlines() if ln in ("0", "1")]
         assert labels == ["0"] * 5 + ["1"] * 5
 
+    @pytest.mark.parametrize("C", ["1e308", "1.7e308", "1e100"])
+    def test_huge_C_is_4_and_terminates(self, train_csv, C):
+        # round-off either overflows the reduced costs (1e308) or makes
+        # Bland's rule revisit a basis (1e100); the timeout catches a
+        # simplex that never stops
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropstat.cli", "svm", "train", str(train_csv),
+             "--mode", "soft", "--C", C],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == 4
+        assert "pivots" in envelope_of(proc.stdout)["result"]["message"]
+
+    def test_one_feature_column_is_2(self, capsys, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("1,0\n2,1\n")
+        code, out = run(capsys, "svm", "train", str(data))
+        assert code == 2
+        assert envelope_of(out)["result"]["message"] == (
+            "a tropical point needs at least 2 coordinates")
+
+    def test_predict_rounds_no_floats(self, capsys, tmp_path, train_csv, monkeypatch):
+        model_path = tmp_path / "model.json"
+        run(capsys, "svm", "train", str(train_csv), "--model-out", str(model_path))
+        pred_csv = tmp_path / "pred.csv"
+        pred_csv.write_text("0,1,1,1,1,1\n0.5,0.25,2,1,1,0\n" * 50)
+        calls = []
+        real = cli._round_floats
+        monkeypatch.setattr(cli, "_round_floats", lambda obj: calls.append(obj) or real(obj))
+        code, out = run(capsys, "svm", "predict", str(pred_csv), "--model", str(model_path))
+        assert code == 0
+        assert len(out.split()) == 100
+        assert calls == []
+
     def test_predict_reads_data_once(self, capsys, tmp_path, train_csv, monkeypatch):
         model_path = tmp_path / "model.json"
         run(capsys, "svm", "train", str(train_csv), "--model-out", str(model_path))
@@ -309,6 +346,22 @@ class TestTreeCommands:
         assert len(calls) == 40
         assert env["result"]["verdicts"] == [True] * 40
         assert env["result"]["topology_count"] == len(topologies) > 1
+
+    @pytest.mark.parametrize("action", ["check", "ultra2newick"])
+    def test_two_leaf_rows_are_3(self, capsys, tmp_path, action):
+        data = tmp_path / "n2.csv"
+        data.write_text("0.5\n1\n")
+        code, out = run(capsys, "tree", action, str(data))
+        assert code == 3
+        assert envelope_of(out)["result"]["message"] == (
+            "row 1: a tree needs at least 3 leaves, got 2")
+
+    @pytest.mark.parametrize("height", ["nan", "inf"])
+    def test_simulate_non_finite_height_is_5(self, capsys, height):
+        code, out = run(capsys, "tree", "simulate", "--n", "4", "--count", "2",
+                        "--height", height)
+        assert code == 5
+        assert envelope_of(out)["result"]["message"] == "height must be finite"
 
     def test_missing_input_is_5(self, capsys):
         code, out = run(capsys, "tree", "check")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tropstat import DescentConfig, LinearProgram, minimize_convex, solve_lp
-from tropstat.solver import INFEASIBLE, MAX, MIN, OPTIMAL, UNBOUNDED, _pivot
+from tropstat.solver import INFEASIBLE, MAX, MIN, OPTIMAL, UNBOUNDED, _pivot, _simplex
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -16,20 +16,21 @@ def exact_lp_optimum(lp: LinearProgram):
     """Exact optimum by enumerating basic solutions over the rationals.
 
     Converts to the form min c.x, A x <= b with x free by treating every
-    constraint (and finite bound) as a row, then intersects all
-    n-subsets of rows.  Exponential; only for tiny LPs.
+    A_ub row, both directions of every A_eq row, and every finite bound as
+    a row, then intersects all n-subsets of rows.  Exponential; only for
+    tiny LPs.
     """
     n = lp.n_vars()
     sign = 1 if lp.sense == MIN else -1
     c = [Fraction(v).limit_denominator(10**9) * sign for v in lp.objective]
     rows = []
-    for row, rel, rhs in lp.constraints:
-        r = [Fraction(v).limit_denominator(10**9) for v in row]
-        b = Fraction(rhs).limit_denominator(10**9)
-        if rel in ("<=", "="):
-            rows.append((r, b))
-        if rel in (">=", "="):
-            rows.append(([-v for v in r], -b))
+    for A, b, both in ((lp.A_ub, lp.b_ub, False), (lp.A_eq, lp.b_eq, True)):
+        for row, rhs in zip(A.tolist(), b.tolist()):
+            r = [Fraction(v).limit_denominator(10**9) for v in row]
+            q = Fraction(rhs).limit_denominator(10**9)
+            rows.append((r, q))
+            if both:
+                rows.append(([-v for v in r], -q))
     for j, (lo, hi) in enumerate(lp.bounds or [(None, None)] * n):
         if lo is not None:
             r = [Fraction(0)] * n
@@ -78,12 +79,17 @@ def exact_lp_optimum(lp: LinearProgram):
 
 
 def random_lp(rng, n, m, with_bounds=True):
-    rows = []
+    """m random rows: 60 % "<=", 30 % ">=" (negated into A_ub), 10 % "="."""
+    ub, eq = [], []
     for _ in range(m):
         coeffs = rng.integers(-4, 5, size=n).astype(float)
         rel = rng.choice(["<=", ">=", "="], p=[0.6, 0.3, 0.1])
         rhs = float(rng.integers(-6, 7))
-        rows.append((list(coeffs), str(rel), rhs))
+        if rel == "=":
+            eq.append((coeffs, rhs))
+        else:
+            sign = 1.0 if rel == "<=" else -1.0
+            ub.append((sign * coeffs, sign * rhs))
     bounds = None
     if with_bounds:
         bounds = []
@@ -96,30 +102,24 @@ def random_lp(rng, n, m, with_bounds=True):
             bounds.append((lo, hi))
     obj = list(rng.integers(-3, 4, size=n).astype(float))
     sense = MIN if rng.integers(0, 2) == 0 else MAX
-    return LinearProgram(sense, obj, rows, bounds)
+
+    def block(rows):
+        return (np.array([r for r, _ in rows], dtype=float).reshape(len(rows), n),
+                np.array([b for _, b in rows], dtype=float))
+
+    return LinearProgram(sense, obj, *block(ub), *block(eq), bounds)
 
 
 def scipy_solve(lp: LinearProgram):
     n = lp.n_vars()
     sign = 1.0 if lp.sense == MIN else -1.0
     c = sign * np.asarray(lp.objective, dtype=float)
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row, rel, rhs in lp.constraints:
-        if rel == "<=":
-            A_ub.append(row)
-            b_ub.append(rhs)
-        elif rel == ">=":
-            A_ub.append([-v for v in row])
-            b_ub.append(-rhs)
-        else:
-            A_eq.append(row)
-            b_eq.append(rhs)
     res = scipy_opt.linprog(
         c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=lp.A_ub if len(lp.A_ub) else None,
+        b_ub=lp.b_ub if len(lp.b_ub) else None,
+        A_eq=lp.A_eq if len(lp.A_eq) else None,
+        b_eq=lp.b_eq if len(lp.b_eq) else None,
         bounds=lp.bounds or [(None, None)] * n,
         method="highs",
     )
@@ -135,34 +135,30 @@ def scipy_solve(lp: LinearProgram):
 class TestBasics:
     def test_simple_min(self):
         lp = LinearProgram(
-            MIN, [1.0, 1.0], [([1.0, 0.0], ">=", 1.0), ([0.0, 1.0], ">=", 2.0)],
-            [(0.0, None), (0.0, None)],
+            MIN, [1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -2.0],
+            bounds=[(0.0, None), (0.0, None)],
         )
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_free_variables(self):
-        lp = LinearProgram(
-            MIN, [1.0], [([1.0], ">=", -5.0)], None
-        )
+        lp = LinearProgram(MIN, [1.0], [[-1.0]], [5.0])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
 
     def test_infeasible(self):
-        lp = LinearProgram(
-            MIN, [1.0], [([1.0], ">=", 2.0), ([1.0], "<=", 1.0)], None
-        )
+        lp = LinearProgram(MIN, [1.0], [[-1.0], [1.0]], [-2.0, 1.0])
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = LinearProgram(MAX, [1.0], [([1.0], ">=", 0.0)], None)
+        lp = LinearProgram(MAX, [1.0], [[-1.0]], [0.0])
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_equality_rows(self):
         lp = LinearProgram(
-            MAX, [1.0, 1.0], [([1.0, 1.0], "=", 4.0), ([1.0, -1.0], "<=", 1.0)],
+            MAX, [1.0, 1.0], [[1.0, -1.0]], [1.0], [[1.0, 1.0]], [4.0],
             [(0.0, None), (0.0, None)],
         )
         sol = solve_lp(lp)
@@ -170,8 +166,17 @@ class TestBasics:
         assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
     def test_crossed_bounds_infeasible(self):
-        lp = LinearProgram(MIN, [1.0], [], [(2.0, 1.0)])
+        lp = LinearProgram(MIN, [1.0], np.zeros((0, 1)), np.zeros(0), bounds=[(2.0, 1.0)])
         assert solve_lp(lp).status == INFEASIBLE
+
+    @pytest.mark.parametrize("sense, status", [(MIN, OPTIMAL), (MAX, UNBOUNDED)])
+    def test_no_rows(self, sense, status):
+        lp = LinearProgram(sense, [1.0, 0.0], np.zeros((0, 2)), np.zeros(0),
+                           bounds=[(1.0, None), (None, None)])
+        sol = solve_lp(lp)
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert sol.x.tolist() == [1.0, 0.0]
 
     def test_solution_satisfies_constraints(self):
         rng = np.random.default_rng(17)
@@ -180,15 +185,8 @@ class TestBasics:
             sol = solve_lp(lp)
             if sol.status != OPTIMAL:
                 continue
-            for row, rel, rhs in lp.constraints:
-                lhs = float(np.dot(row, sol.x))
-                if rel == "<=":
-                    assert lhs <= rhs + 1e-7
-                elif rel == ">=":
-                    assert lhs >= rhs - 1e-7
-                else:
-                    assert abs(lhs - rhs) <= 1e-7
-
+            assert (lp.A_ub @ sol.x <= lp.b_ub + 1e-7).all()
+            assert (np.abs(lp.A_eq @ sol.x - lp.b_eq) <= 1e-7).all()
 
     @pytest.mark.parametrize(
         "objective, row",
@@ -196,9 +194,33 @@ class TestBasics:
          ([1.0, 1.0], [0.0, np.nan])],
     )
     def test_non_finite_coefficients_rejected(self, objective, row):
-        lp = LinearProgram(MIN, objective, [(row, "<=", 1.0)])
+        lp = LinearProgram(MIN, objective, [row], [1.0])
         with pytest.raises(ValueError, match="must be finite"):
             solve_lp(lp)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(([[1.0]], [1.0]), "row length mismatch"),
+         (([[1.0, 0.0]], [1.0, 2.0]), "rhs length mismatch"),
+         (([[1.0, 0.0]], [1.0], [[1.0]], [1.0]), "row length mismatch"),
+         (([[1.0, 0.0]], [1.0], [[1.0, 1.0]], None), "rhs length mismatch"),
+         (([[1.0, 0.0]], [np.inf]), "rhs must be finite"),
+         (([[1.0, 0.0]], [1.0], None, None, [(0.0, None)]), "bounds length mismatch")],
+    )
+    def test_bad_shapes_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            solve_lp(LinearProgram(MIN, [1.0, 1.0], *args))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_reduced_costs_raise(self):
+        # red = [-1e308 - 1e308, 0] overflows before the first pivot
+        T = np.array([[1.0, 1.0, 1.0]])
+        with pytest.raises(RuntimeError, match="after 0 pivots"):
+            _simplex(T, [1], np.array([-1e308, 1e308]), 2)
+
+    def test_constraints_counts_both_blocks(self):
+        lp = LinearProgram(MIN, [1.0, 1.0], [[1.0, 0.0]], [1.0], [[1.0, 1.0], [0.0, 1.0]], [2.0, 1.0])
+        assert len(lp.constraints) == 3
 
     def test_pivot_matches_row_by_row_reference(self):
         rng = np.random.default_rng(3)

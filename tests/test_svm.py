@@ -17,7 +17,9 @@ from tropstat import (
 )
 from tropstat.solver import MAX, LinearProgram
 from tropstat.svm import (
+    SEP_TOL,
     _assignments,
+    _labels,
     _svm_lp,
     load_model,
     model_from_dict,
@@ -42,7 +44,7 @@ def reference_hard_lp(sample, asg):
     e = sample.dim
     nvars = e + 1  # omega_0..omega_{e-1}, z
     objective = [0.0] * e + [1.0]
-    cons = []
+    rows, rhs = [], []
     for p, label in zip(sample.points, sample.labels):
         xi = p.coords
         i, j = asg.pair_for(label)
@@ -50,19 +52,22 @@ def reference_hard_lp(sample, asg):
         row[j] += 1.0
         row[i] -= 1.0
         row[e] = 1.0
-        cons.append((row, "<=", xi[i] - xi[j]))  # margin
+        rows.append(row)
+        rhs.append(xi[i] - xi[j])  # margin
         row = [0.0] * nvars
         row[j] += 1.0
         row[i] -= 1.0
-        cons.append((row, "<=", xi[i] - xi[j]))  # sector order
+        rows.append(row)
+        rhs.append(xi[i] - xi[j])  # sector order
         for l in range(e):
             if l in (i, j):
                 continue
             row = [0.0] * nvars
             row[l] += 1.0
             row[j] -= 1.0
-            cons.append((row, "<=", xi[j] - xi[l]))  # other coordinates below j
-    return LinearProgram(MAX, objective, cons)
+            rows.append(row)
+            rhs.append(xi[j] - xi[l])  # other coordinates below j
+    return LinearProgram(MAX, objective, np.array(rows), np.array(rhs))
 
 
 def reference_soft_lp(sample, asg, C):
@@ -75,7 +80,7 @@ def reference_soft_lp(sample, asg, C):
     beta0 = alpha0 + n
     gamma0 = beta0 + n
     objective = [0.0] * e + [1.0] + [-C] * (2 * n + n_gamma)
-    cons = []
+    rows, rhs = [], []
     g = gamma0
     for idx, (p, label) in enumerate(zip(sample.points, sample.labels)):
         xi = p.coords
@@ -85,12 +90,14 @@ def reference_soft_lp(sample, asg, C):
         row[i] -= 1.0
         row[e] = 1.0
         row[alpha0 + idx] = -1.0
-        cons.append((row, "<=", xi[i] - xi[j]))
+        rows.append(row)
+        rhs.append(xi[i] - xi[j])
         row = [0.0] * nvars
         row[j] += 1.0
         row[i] -= 1.0
         row[beta0 + idx] = -1.0
-        cons.append((row, "<=", xi[i] - xi[j]))
+        rows.append(row)
+        rhs.append(xi[i] - xi[j])
         for l in range(e):
             if l in (i, j):
                 continue
@@ -98,20 +105,23 @@ def reference_soft_lp(sample, asg, C):
             row[l] += 1.0
             row[j] -= 1.0
             row[g] = -1.0
-            cons.append((row, "<=", xi[j] - xi[l]))
+            rows.append(row)
+            rhs.append(xi[j] - xi[l])
             g += 1
     bounds = [(None, None)] * (e + 1) + [(0.0, None)] * (2 * n + n_gamma)
-    return LinearProgram(MAX, objective, cons, bounds)
+    return LinearProgram(MAX, objective, np.array(rows), np.array(rhs), bounds=bounds)
 
 
 def lp_bytes(lp):
-    """Every number of an LP, bit for bit, with its relations and bounds."""
+    """Every number of an LP, bit for bit, with its shapes and bounds."""
     return (
         lp.sense,
         np.asarray(lp.objective, dtype=float).tobytes(),
-        np.array([row for row, _, _ in lp.constraints], dtype=float).tobytes(),
-        np.array([b for _, _, b in lp.constraints], dtype=float).tobytes(),
-        [rel for _, rel, _ in lp.constraints],
+        lp.A_ub.shape,
+        lp.A_ub.tobytes(),
+        lp.b_ub.tobytes(),
+        lp.A_eq,
+        lp.b_eq,
         lp.bounds,
     )
 
@@ -234,6 +244,26 @@ class TestClassify:
         model = train_hard(sample)
         again = model_from_dict(model_to_dict(model))
         assert again.margin == pytest.approx(model.margin)
+
+    def test_labels_match_per_point_reference(self):
+        """The matrix kernel against the per-point rule it replaced, with
+        rows placed exactly on and next to the decision boundary."""
+        sample = separable_sample(3)
+        model = train_hard(sample)
+        w = np.array(model.omega.coords)
+        ip, iq = model.assignment.ip, model.assignment.iq
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 2.0, size=(400, sample.dim))
+        X[:100, ip] = X[:100, iq] + w[iq] - w[ip] + rng.choice([-2, -1, 0], 100) * SEP_TOL
+        ref = []
+        for x in X.tolist():
+            vals = np.array(x) + w
+            ref.append(0 if vals[ip] >= vals[iq] - SEP_TOL else 1)
+        assert _labels(model, X).tolist() == ref
+        assert [classify(model, TropicalPoint(tuple(x))) for x in X.tolist()] == ref
+        assert {0, 1} <= set(ref[:100])
+        hits = sum(classify(model, p) == l for p, l in zip(sample.points, sample.labels))
+        assert training_accuracy(model, sample) == hits / len(sample.points)
 
     def test_dimension_mismatch(self):
         sample = separable_sample(2)
