@@ -118,28 +118,30 @@ def read_points(path: str, header: bool) -> np.ndarray:
     linenos = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if header and lineno == 1:
-                    continue
-                if not row:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError as exc:
-                    raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
-                linenos.append(lineno)
-                if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                    raise CliError(
-                        f"{path}:{lineno}: ragged row ({len(rows[-1])} cells, "
-                        f"expected {len(rows[0])})",
-                        EXIT_PARSE,
-                    )
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if row and not (header and lineno == 1):
+                    rows.append(row)
+                    linenos.append(lineno)
     except OSError as exc:
         raise CliError(str(exc), EXIT_PARSE)
     if not rows:
         raise CliError(f"{path}: no data rows", EXIT_PARSE)
-    X = np.array(rows)
+    try:
+        X = np.array(rows, dtype=float)  # float() on each cell, as below
+    except ValueError:
+        # a bad cell or a ragged row: find the first, row by row
+        for lineno, row in zip(linenos, rows):
+            try:
+                [float(cell) for cell in row]
+            except ValueError as exc:
+                raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
+            if len(row) != len(rows[0]):
+                raise CliError(
+                    f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                    f"expected {len(rows[0])})",
+                    EXIT_PARSE,
+                )
+        raise
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise CliError(f"{path}:{linenos[finite.argmin()]}: non-finite value", EXIT_PARSE)

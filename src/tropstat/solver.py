@@ -196,8 +196,9 @@ def _simplex(T, basis, cost, k: int) -> str:
     """
     seen = set()
     for pivots in itertools.count():
-        # Reduced costs: c_j - c_B . B^-1 A_j
-        red = cost[:k] - cost[basis] @ T[:, :k]
+        # Reduced costs: c_j - c_B . B^-1 A_j; an overflow is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            red = cost[:k] - cost[basis] @ T[:, :k]
         key = hash(tuple(basis))
         if key in seen or not np.isfinite(red).all():
             raise RuntimeError(f"simplex stopped after {pivots} pivots: round-off "

@@ -1,13 +1,19 @@
 """Hard- and soft-margin tropical support vector machines.
 
 Training enumerates class-level sector assignments (all class-P points
-share the primary/secondary coordinate pair, likewise class Q) and solves
-one LP per assignment; the best feasible assignment wins, with ties broken
-toward the lexicographically smallest assignment.
+share the primary/secondary coordinate pair, likewise class Q); the best
+feasible assignment wins, with ties broken toward the lexicographically
+smallest assignment.  Each assignment's LP rows are difference
+constraints, so one array kernel bounds every LP optimum from shortest
+paths of that difference graph (exact in hard mode), and an LP is solved
+only for an assignment whose bound can still beat the running best.  The
+winner and its vector are those of the solved LPs, as with full
+enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +27,8 @@ HARD = "HARD"
 SOFT = "SOFT"
 
 SEP_TOL = 1e-9
+CYCLE_TOL = 1e-6  # well above solver.FEAS_TOL
+ROUND_TOL = 1e-9  # per unit of the data's spread
 
 
 class NotSeparableError(Exception):
@@ -78,18 +86,76 @@ class SvmModel:
         return TropicalHyperplane(self.omega)
 
 
-def _assignments(e: int):
-    for ip in range(e):
-        for jp in range(e):
-            if jp == ip:
-                continue
-            for iq in range(e):
-                if iq == ip:
-                    continue
-                for jq in range(e):
-                    if jq == iq:
-                        continue
-                    yield SectorAssignment(ip, jp, iq, jq)
+def _assignment_array(e: int) -> np.ndarray:
+    """Every class-level assignment as one (ip, jp, iq, jq) row, in
+    lexicographic order: ip != jp, iq != jq and ip != iq."""
+    K = np.indices((e,) * 4).reshape(4, -1).T
+    return K[(K[:, 0] != K[:, 1]) & (K[:, 2] != K[:, 3]) & (K[:, 0] != K[:, 2])]
+
+
+# An assignment's four key nodes ip, jp, iq, jq are positions 0..3.  Only
+# they have outgoing arcs, so every simple cycle of its difference graph,
+# and every simple path between two of them, visits key nodes only.
+_CYCLES = [p + p[:1] for L in (2, 3, 4)
+           for p in itertools.permutations(range(4), L) if p[0] == min(p)]
+
+
+def _paths(s: int, t: int) -> list[tuple[int, ...]]:
+    """Every position path from s to t through at most both other keys."""
+    others = [k for k in range(4) if k not in (s, t)]
+    return [(s, *mid, t) for L in (0, 1, 2) for mid in itertools.permutations(others, L)]
+
+
+def _cheapest(W: np.ndarray, K: np.ndarray, walks) -> np.ndarray:
+    """Per assignment, the cheapest of the position walks whose nodes are
+    distinct (a cycle repeats only its first node); inf if none has arcs."""
+    best = np.full(len(K), np.inf)
+    for w in walks:
+        cost = sum(W[:, a, b] for a, b in zip(w, w[1:]))
+        pos = list(dict.fromkeys(w))
+        distinct = np.logical_and.reduce(
+            [K[:, a] != K[:, b] for a, b in itertools.combinations(pos, 2)])
+        best = np.minimum(best, np.where(distinct, cost, np.inf))
+    return best
+
+
+def _margin_bounds(X: np.ndarray, labels, K: np.ndarray,
+                   C: Optional[float]) -> np.ndarray:
+    """An upper bound on the LP optimum of every assignment row of K.
+
+    The non-margin rows omega_a - omega_b <= c are arcs b -> a of cost c,
+    the cheapest over the class's points; Mp and Mq are the classes'
+    smallest margin right-hand sides, and d(s -> t) is the cheapest simple
+    path.  The LP dual is a circulation carrying one unit over the margin
+    arcs, so U = min(Mp + d(jp -> ip), Mq + d(jq -> iq),
+    (Mp + Mq + d(jp -> iq) + d(jq -> ip)) / 2).  In hard mode U is the
+    optimum when the arcs have no negative cycle, and -inf (infeasible) when
+    one costs less than -CYCLE_TOL; a cycle in between gives inf, so the LP
+    decides.  Soft mode with C >= 1 may also send C - 1 units around the
+    cheapest cycle (no row then carries more than C), which adds
+    (C - 1) * min(0, cycle + CYCLE_TOL); with C < 1 every bound is inf.
+    """
+    if C is not None and C < 1:
+        return np.full(len(K), np.inf)
+    y = np.asarray(labels)
+    diff = X[:, :, None] - X[:, None, :]
+    AP, AQ = diff[y == 0].min(axis=0), diff[y == 1].min(axis=0)
+    ip, jp, iq, jq = (K[:, c, None, None] for c in range(4))
+    u, v = K[:, :, None], K[:, None, :]
+    arc_p = ((u == ip) & (v == jp)) | ((u == jp) & (v != ip) & (v != jp))
+    arc_q = ((u == iq) & (v == jq)) | ((u == jq) & (v != iq) & (v != jq))
+    W = np.minimum(np.where(arc_p, AP[u, v], np.inf), np.where(arc_q, AQ[u, v], np.inf))
+
+    def d(s, t):
+        return np.where(K[:, s] == K[:, t], 0.0, _cheapest(W, K, _paths(s, t)))
+
+    Mp, Mq = AP[K[:, 0], K[:, 1]], AQ[K[:, 2], K[:, 3]]
+    U = np.minimum.reduce([Mp + d(1, 0), Mq + d(3, 2), (Mp + Mq + d(1, 2) + d(3, 0)) / 2])
+    cycle = _cheapest(W, K, _CYCLES)
+    if C is None:
+        return np.where(cycle < -CYCLE_TOL, -np.inf, np.where(cycle < 0, np.inf, U))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return U + (C - 1) * np.minimum(cycle + CYCLE_TOL, 0.0)
 
 
 def _svm_lp(
@@ -142,13 +208,23 @@ def _check_classes(sample: LabeledSample):
 
 def _train(sample: LabeledSample, C: Optional[float], tol: float):
     """(objective, assignment, x) of the best assignment, or None if no LP
-    has an optimum; a later assignment wins only by more than tol."""
+    has an optimum; a later assignment wins only by more than tol.
+
+    An assignment whose margin bound, plus a round-off allowance, is at
+    most the running best + tol (at first -inf) cannot win, so its LP is
+    not solved.
+    """
     _check_classes(sample)
     if C is not None and not C > 0:
         raise ValueError(f"C must be positive, got {C}")
     X = _sample_arrays(sample.points)
+    K = _assignment_array(sample.dim)
+    bounds = _margin_bounds(X, sample.labels, K, C) + ROUND_TOL * (1.0 + np.ptp(X))
     best = None
-    for asg in _assignments(sample.dim):
+    for row, bound in zip(K.tolist(), bounds.tolist()):
+        if bound <= (-np.inf if best is None else best[0]) + tol:
+            continue
+        asg = SectorAssignment(*row)
         sol = solve_lp(_svm_lp(X, sample.labels, asg, C))
         if sol.status != OPTIMAL:
             continue

@@ -1,13 +1,22 @@
 """Simplex solver: exact rational oracle, scipy cross-checks, determinism."""
 
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tropstat import DescentConfig, LinearProgram, minimize_convex, solve_lp
+from tropstat import (
+    DescentConfig,
+    LinearProgram,
+    SimConfig,
+    make_two_class_sample,
+    minimize_convex,
+    solve_lp,
+)
 from tropstat.solver import INFEASIBLE, MAX, MIN, OPTIMAL, UNBOUNDED, _pivot, _simplex
+from tropstat.svm import SectorAssignment, _assignment_array, _svm_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -211,12 +220,25 @@ class TestBasics:
         with pytest.raises(ValueError, match=message):
             solve_lp(LinearProgram(MIN, [1.0, 1.0], *args))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_reduced_costs_raise(self):
-        # red = [-1e308 - 1e308, 0] overflows before the first pivot
+        # red = [-1e308 - 1e308, 0] overflows before the first pivot, and
+        # numpy prints no overflow warning
         T = np.array([[1.0, 1.0, 1.0]])
-        with pytest.raises(RuntimeError, match="after 0 pivots"):
-            _simplex(T, [1], np.array([-1e308, 1e308]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="after 0 pivots"):
+                _simplex(T, [1], np.array([-1e308, 1e308]), 2)
+
+    def test_cycling_soft_svm_lp_raises(self):
+        # the soft-margin LP of assignment 5 at C = 1e100 on the CLI's 5+5
+        # training file: Bland's rule revisits a basis on round-off
+        two = make_two_class_sample(
+            SimConfig(4, 1.0, 2, 5), SimConfig(4, 1.0, 102, 5), separation=1.0
+        )
+        X = np.array([[float(f"{v:.12g}") for v in u.values] for u in two.ultrametrics])
+        asg = SectorAssignment(*_assignment_array(X.shape[1])[5].tolist())
+        with pytest.raises(RuntimeError, match="pivots"):
+            solve_lp(_svm_lp(X, two.labels, asg, 1e100))
 
     def test_constraints_counts_both_blocks(self):
         lp = LinearProgram(MIN, [1.0, 1.0], [[1.0, 0.0]], [1.0], [[1.0, 1.0], [0.0, 1.0]], [2.0, 1.0])

@@ -1,5 +1,7 @@
 """Tropical SVM training, classification, and model serialization."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,16 @@ from tropstat import (
     train_hard,
     train_soft,
 )
-from tropstat.solver import MAX, LinearProgram
+from tropstat import svm
+from tropstat.solver import INFEASIBLE, MAX, OPTIMAL, LinearProgram, solve_lp
 from tropstat.svm import (
+    ROUND_TOL,
     SEP_TOL,
-    _assignments,
+    _assignment_array,
     _labels,
+    _margin_bounds,
     _svm_lp,
+    _train,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -37,6 +43,66 @@ def separable_sample(n_per_class=5, seed_a=2, seed_b=102):
     )
     points = tuple(TropicalPoint(u.values) for u in two.ultrametrics)
     return LabeledSample(points, tuple(two.labels))
+
+
+def reference_assignments(e):
+    """The nested loops that _assignment_array replaced."""
+    for ip in range(e):
+        for jp in range(e):
+            if jp == ip:
+                continue
+            for iq in range(e):
+                if iq == ip:
+                    continue
+                for jq in range(e):
+                    if jq == iq:
+                        continue
+                    yield SectorAssignment(ip, jp, iq, jq)
+
+
+def flipped(sample, k=0):
+    labels = list(sample.labels)
+    labels[k] = 1 - labels[k]
+    return LabeledSample(sample.points, tuple(labels))
+
+
+def tied(sample, step=0.25):
+    """The sample rounded to a coarse grid, so differences tie often."""
+    return LabeledSample(
+        tuple(TropicalPoint(tuple(np.round(np.array(p.coords) / step) * step))
+              for p in sample.points),
+        sample.labels,
+    )
+
+
+SAMPLES = {
+    "separable": separable_sample,
+    "criterion8": lambda: separable_sample(10),
+    "flipped": lambda: flipped(separable_sample(4)),
+    "tied": lambda: tied(separable_sample(3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def every_lp(name, C):
+    """A named sample and the solution of every assignment's LP, in
+    enumeration order."""
+    sample = SAMPLES[name]()
+    X = np.array([p.coords for p in sample.points])
+    return sample, [solve_lp(_svm_lp(X, sample.labels, asg, C))
+                    for asg in reference_assignments(sample.dim)]
+
+
+def reference_train(sample, solutions, tol=SEP_TOL):
+    """The unpruned loop that _train replaced, over every LP's solution."""
+    best = None
+    for asg, sol in zip(reference_assignments(sample.dim), solutions):
+        if sol.status != OPTIMAL:
+            continue
+        obj = float(sol.objective_value)
+        if best is None or obj > best[0] + tol:
+            best = (obj, asg, sol.x)
+    return best
 
 
 def reference_hard_lp(sample, asg):
@@ -164,12 +230,68 @@ class TestBuilder:
         sample = separable_sample()
         X = np.array([p.coords for p in sample.points])
         n_assignments = 0
-        for asg in _assignments(sample.dim):
+        for asg in reference_assignments(sample.dim):
             ref = (reference_hard_lp(sample, asg) if C is None
                    else reference_soft_lp(sample, asg, C))
             assert lp_bytes(_svm_lp(X, sample.labels, asg, C)) == lp_bytes(ref)
             n_assignments += 1
         assert n_assignments == 750
+
+
+class TestPruning:
+    @staticmethod
+    def bounds(sample, C):
+        X = np.array([p.coords for p in sample.points])
+        return _margin_bounds(X, sample.labels, _assignment_array(sample.dim), C)
+
+    @pytest.mark.parametrize("name, C", [
+        (name, C) for name in ("separable", "flipped") for C in (None, 1.0, 10.0, 1e6)
+    ] + [("criterion8", None)])
+    def test_bound_holds(self, name, C):
+        sample, solutions = every_lp(name, C)
+        X = np.array([p.coords for p in sample.points])
+        allowance = ROUND_TOL * (1.0 + np.ptp(X))
+        U = self.bounds(sample, C)
+        opt = [k for k, sol in enumerate(solutions) if sol.status == OPTIMAL]
+        assert opt
+        for k in opt:
+            assert U[k] >= solutions[k].objective_value - allowance
+
+    @pytest.mark.parametrize("name", ["separable", "flipped", "criterion8", "tied"])
+    def test_hard_bound_is_exact(self, name):
+        sample, solutions = every_lp(name, None)
+        U = self.bounds(sample, None)
+        for u, sol in zip(U, solutions):
+            assert (u == -np.inf) == (sol.status == INFEASIBLE)
+            if sol.status == OPTIMAL:
+                assert abs(u - sol.objective_value) <= 1e-12
+
+    @pytest.mark.parametrize("e", [3, 4, 6, 10])
+    def test_assignment_order(self, e):
+        assert [SectorAssignment(*r) for r in _assignment_array(e).tolist()] == list(
+            reference_assignments(e))
+
+    def test_small_C_gives_no_bound(self):
+        assert (self.bounds(separable_sample(3), 0.4) == np.inf).all()
+
+    @pytest.mark.parametrize("name, C", [
+        (name, C) for name in ("separable", "flipped", "tied")
+        for C in (None, 1.0, 10.0, 1e6)
+    ] + [("tied", 0.4)])
+    def test_matches_unpruned_reference(self, name, C):
+        sample, solutions = every_lp(name, C)
+        ref = reference_train(sample, solutions)
+        got = _train(sample, C, SEP_TOL)
+        if ref is None:
+            assert got is None
+            return
+        assert (got[0], got[1], got[2].tobytes()) == (ref[0], ref[1], ref[2].tobytes())
+
+    def test_few_lps_solved(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(svm, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+        train_hard(separable_sample())
+        assert 1 <= len(calls) <= 40  # of 750
 
 
 class TestHardMargin:
