@@ -2,7 +2,8 @@
 
 The Fermat-Weber point is one optimal vertex of the location LP; the
 Frechet mean is computed by direct convex minimization of the squared
-tropical distance sum with deterministic multi-start.
+tropical distance sum with deterministic multi-start, all starts evaluated
+together by one batched oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .solver import (
     minimize_convex,
     solve_lp,
 )
-from .treeio import _leaves_for, _single_linkage, _square, three_point_check
+from .treeio import _CUBE_BLOCK, _leaves_for, _single_linkage, _square, three_point_check
 
 FW_LP = "FW_LP"
 FRECHET_DESCENT = "FRECHET_DESCENT"
@@ -171,20 +172,8 @@ def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:
     Starts at every sample point plus their coordinatewise median.
     """
     V = _sample_arrays(sample)
-
-    def f(z: np.ndarray):
-        diff = z[None, :] - V
-        # lexicographically smallest extremal indices on ties (np.arg* default)
-        imax = diff.argmax(axis=1)
-        imin = diff.argmin(axis=1)
-        d = diff[np.arange(len(V)), imax] - diff[np.arange(len(V)), imin]
-        g = np.zeros_like(z)
-        np.add.at(g, imax, 2.0 * d)
-        np.add.at(g, imin, -2.0 * d)
-        return float((d * d).sum()), g
-
-    starts = [row for row in V] + [np.median(V, axis=0)]
-    z, val = minimize_convex(f, V.shape[1], starts)
+    starts = np.vstack([V, np.median(V, axis=0)])
+    z, val = minimize_convex(_frechet_oracle(V), V.shape[1], starts)
     raw = tuple(float(v) for v in z)
     return LocationResult(
         point=canonicalize(raw),
@@ -192,6 +181,37 @@ def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:
         method=FRECHET_DESCENT,
         diagnostics={"raw_point": raw, "n_starts": len(starts)},
     )
+
+
+def _frechet_oracle(V: np.ndarray):
+    """Value and subgradient of sum_i d(z, v_i)^2 at each row z of Z, in
+    blocks of rows whose (rows, s, e) differences fit in _CUBE_BLOCK."""
+    s, e = V.shape
+    per = max(1, _CUBE_BLOCK // (s * e))
+
+    def f(Z: np.ndarray):
+        val, G = np.empty(len(Z)), np.empty((len(Z), e))
+        for lo in range(0, len(Z), per):
+            val[lo : lo + per], G[lo : lo + per] = _frechet_block(Z[lo : lo + per], V)
+        return val, G
+
+    return f
+
+
+def _frechet_block(Z, V):
+    diff = Z[:, None, :] - V
+    # lexicographically smallest extremal indices on ties (np.arg* default)
+    imax, imin = diff.argmax(axis=2), diff.argmin(axis=2)
+    flat, pair = diff.reshape(-1, V.shape[1]), np.arange(imax.size)
+    d = (flat[pair, imax.ravel()] - flat[pair, imin.ravel()]).reshape(imax.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises in the solver
+        val = (d * d).sum(axis=1)
+    # one bincount adds every point's argmax term, then its argmin term, to
+    # its row in point order, as np.add.at on a single row would
+    base = np.arange(len(Z))[:, None] * V.shape[1]
+    G = np.bincount(np.concatenate([(base + imax).ravel(), (base + imin).ravel()]),
+                    np.concatenate([(2.0 * d).ravel(), (-2.0 * d).ravel()]), Z.size)
+    return val, G.reshape(Z.shape)
 
 
 def check_ultrametric_closure(

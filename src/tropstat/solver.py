@@ -4,6 +4,10 @@ The simplex converts to standard form (free variables split into positive
 and negative parts, bounds turned into shifts or rows), runs a two-phase
 method, and uses Bland's pivoting rule throughout, so results are
 deterministic and optima are vertex solutions of the lifted polyhedron.
+
+The minimizer runs a shrinking-step subgradient descent from several
+starts at once, calling a batched value-and-subgradient oracle once per
+iteration on the starts still running.
 """
 
 from __future__ import annotations
@@ -237,57 +241,69 @@ class DescentConfig:
 
 
 def minimize_convex(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     dim: int,
     starts: Sequence[Sequence[float]],
     config: Optional[DescentConfig] = None,
 ) -> tuple[np.ndarray, float]:
-    """Minimize a finite convex function given a value-and-subgradient oracle.
+    """Minimize a finite convex function given a batched value-and-subgradient
+    oracle.
 
-    Normalized subgradient steps with a geometrically shrinking step length;
-    the best point seen is tracked, so the reported value is monotone across
-    iterations.  Deterministic given the starts and config.
+    f takes a (k, dim) array of points and returns their values, shape (k,),
+    and one subgradient per point, shape (k, dim).  Each row's results must
+    not depend on the other rows of the batch.
+
+    From each start: normalized subgradient steps with a geometrically
+    shrinking step length, tracking the best point seen, so the reported
+    value is monotone across iterations.  The starts advance in lockstep,
+    one oracle call per iteration on the starts still running; a start
+    stops when its step falls below min_step, its subgradient is zero or
+    it has run max_iters iterations.  Returns the best point and value of
+    the first start whose best value is smallest.  Deterministic given the
+    starts and config.
     """
     cfg = config or DescentConfig()
-    best_z = None
-    best_val = np.inf
-    for start in starts:
-        z, val = _descend(f, np.asarray(start, dtype=float), dim, cfg)
-        if val < best_val:
-            best_val, best_z = val, z
-    return best_z, best_val
-
-
-def _descend(f, z0, dim, cfg):
-    if z0.shape != (dim,):
+    Z = np.array(starts, dtype=float, ndmin=2)
+    if Z.shape[1:] != (dim,):
         raise ValueError("start point dimension mismatch")
-    z = z0.copy()
-    val, g = _eval(f, z)
-    best_val, best_z = val, z.copy()
-    step = cfg.initial_step
-    stall = 0
-    for _ in range(cfg.max_iters):
-        val, g = _eval(f, z)
-        if val < best_val - cfg.tol:
-            best_val, best_z, stall = val, z.copy(), 0
-        else:
-            stall += 1
-            if stall >= cfg.stall_limit:
-                step *= 0.5
-                if step < cfg.min_step:
-                    break
-                z = best_z.copy()
-                stall = 0
-                val, g = _eval(f, z)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
+    # One row per running start, rows[i] being its start.  The first
+    # iteration reuses the values at the starts, and a reset to the best
+    # point reuses the subgradient recorded there.
+    val, G = _eval(f, Z)
+    rows, best_Z, best_val, best_G = np.arange(len(Z)), Z.copy(), val, G.copy()
+    step, stall = np.full(len(Z), cfg.initial_step), np.zeros(len(Z), dtype=int)
+    out_Z, out_val = np.empty_like(Z), np.empty_like(val)
+    for it in range(cfg.max_iters):
+        if it:
+            val, G = _eval(f, Z)
+        better = val < best_val - cfg.tol
+        best_val = np.where(better, val, best_val)
+        best_Z[better], best_G[better] = Z[better], G[better]
+        stall = np.where(better, 0, stall + 1)
+        halve = ~better & (stall >= cfg.stall_limit)
+        step[halve] *= 0.5
+        done = halve & (step < cfg.min_step)
+        reset = halve & ~done
+        Z[reset], G[reset], stall[reset] = best_Z[reset], best_G[reset], 0
+        # sqrt of a stacked (1, dim) @ (dim, 1) product rounds like
+        # np.linalg.norm of each row
+        gn = np.sqrt(G[:, None, :] @ G[:, :, None]).reshape(-1)
+        done |= gn == 0.0
+        out_Z[rows[done]], out_val[rows[done]] = best_Z[done], best_val[done]
+        go = ~done
+        rows, best_Z, best_val, best_G = rows[go], best_Z[go], best_val[go], best_G[go]
+        step, stall = step[go], stall[go]
+        Z = Z[go] - step[:, None] * (G[go] / gn[go, None])
+        if not len(rows):
             break
-        z = z - step * (g / gn)
-    return best_z, best_val
+    out_Z[rows], out_val[rows] = best_Z, best_val
+    i = int(np.argmin(out_val))
+    return out_Z[i], float(out_val[i])
 
 
-def _eval(f, z):
-    val, g = f(z)
-    if not np.isfinite(val):
+def _eval(f, Z):
+    val, G = f(Z)
+    val = np.array(val, dtype=float).reshape(len(Z))
+    if not np.isfinite(val).all():
         raise ValueError("objective returned a non-finite value")
-    return float(val), np.asarray(g, dtype=float)
+    return val, np.array(G, dtype=float).reshape(Z.shape)

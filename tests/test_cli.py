@@ -187,6 +187,17 @@ class TestLocationCommands:
         env = envelope_of(out)
         assert env["result"]["objective"] == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_frechet_overflow_is_4_and_quiet(self, capsys, tmp_path):
+        # a squared distance of about 4e400 overflows to inf
+        pts = tmp_path / "big.csv"
+        pts.write_text("0,1e200,3\n0,-1e200,2\n1,2,3\n")
+        code = main(["frechet", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == ""
+        assert "non-finite" in envelope_of(captured.out)["result"]["message"]
+
     def test_header_flag(self, capsys, tmp_path):
         pts = tmp_path / "h.csv"
         pts.write_text("x,y,z\n0,0,0\n0,3,1\n")

@@ -7,10 +7,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import lattice_points_3d, ultrametric_points
 from tropstat import (
     DescentConfig,
     LinearProgram,
     SimConfig,
+    TropicalPoint,
+    frechet_mean,
+    location,
     make_two_class_sample,
     minimize_convex,
     solve_lp,
@@ -308,8 +312,8 @@ class TestScipyCrossCheck:
 
 class TestConvexMinimizer:
     def test_quadratic_bowl(self):
-        def f(z):
-            return float(z @ z), 2.0 * z
+        def f(Z):
+            return (Z * Z).sum(axis=1), 2.0 * Z
 
         z, val = minimize_convex(f, 3, [[5.0, -3.0, 2.0]])
         assert val < 1e-6
@@ -318,16 +322,16 @@ class TestConvexMinimizer:
     def test_piecewise_linear_abs(self):
         target = np.array([1.0, -2.0])
 
-        def f(z):
-            d = z - target
-            return float(np.abs(d).sum()), np.sign(d)
+        def f(Z):
+            d = Z - target
+            return np.abs(d).sum(axis=1), np.sign(d)
 
         z, val = minimize_convex(f, 2, [[0.0, 0.0], [4.0, 4.0]])
         assert val < 1e-6
 
     def test_best_of_multiple_starts(self):
-        def f(z):
-            return float(np.abs(z).sum()), np.sign(z)
+        def f(Z):
+            return np.abs(Z).sum(axis=1), np.sign(Z)
 
         _, far = minimize_convex(
             f, 1, [[100.0]], DescentConfig(max_iters=10, min_step=0.5)
@@ -338,8 +342,173 @@ class TestConvexMinimizer:
         assert near <= far
 
     def test_rejects_non_finite(self):
-        def f(z):
-            return float("nan"), z
+        def f(Z):
+            return np.full(len(Z), np.nan), Z
 
         with pytest.raises(ValueError):
             minimize_convex(f, 1, [[0.0]])
+
+
+def reference_minimize_convex(f, dim, starts, config=None):
+    """The per-start loop minimize_convex ran before its starts advanced in
+    lockstep; f takes one point and returns its value and subgradient."""
+    cfg = config or DescentConfig()
+    best_z = None
+    best_val = np.inf
+    for start in starts:
+        z, val = reference_descend(f, np.asarray(start, dtype=float), dim, cfg)
+        if val < best_val:
+            best_val, best_z = val, z
+    return best_z, best_val
+
+
+def reference_descend(f, z0, dim, cfg):
+    def evaluate(z):
+        val, g = f(z)
+        if not np.isfinite(val):
+            raise ValueError("objective returned a non-finite value")
+        return float(val), np.asarray(g, dtype=float)
+
+    if z0.shape != (dim,):
+        raise ValueError("start point dimension mismatch")
+    z = z0.copy()
+    val, g = evaluate(z)
+    best_val, best_z = val, z.copy()
+    step = cfg.initial_step
+    stall = 0
+    for _ in range(cfg.max_iters):
+        val, g = evaluate(z)
+        if val < best_val - cfg.tol:
+            best_val, best_z, stall = val, z.copy(), 0
+        else:
+            stall += 1
+            if stall >= cfg.stall_limit:
+                step *= 0.5
+                if step < cfg.min_step:
+                    break
+                z = best_z.copy()
+                stall = 0
+                val, g = evaluate(z)
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        z = z - step * (g / gn)
+    return best_z, best_val
+
+
+def reference_frechet_oracle(V):
+    """frechet_mean's one-point oracle before it took batches."""
+
+    def f(z):
+        diff = z[None, :] - V
+        imax = diff.argmax(axis=1)
+        imin = diff.argmin(axis=1)
+        d = diff[np.arange(len(V)), imax] - diff[np.arange(len(V)), imin]
+        g = np.zeros_like(z)
+        np.add.at(g, imax, 2.0 * d)
+        np.add.at(g, imin, -2.0 * d)
+        return float((d * d).sum()), g
+
+    return f
+
+
+class TestLockstepDescent:
+    """The lockstep minimize_convex and frechet_mean against the per-start
+    reference loop, bit for bit."""
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        """The number of batched oracle calls of each frechet_mean run."""
+        calls = []
+        oracle = location._frechet_oracle
+
+        def counted(V):
+            f = oracle(V)
+            calls.append(0)
+
+            def g(Z):
+                calls[-1] += 1
+                return f(Z)
+
+            return g
+
+        monkeypatch.setattr(location, "_frechet_oracle", counted)
+        return calls
+
+    @staticmethod
+    def assert_frechet_matches(V):
+        V = np.asarray(V, dtype=float)
+        starts = [row for row in V] + [np.median(V, axis=0)]
+        z, val = reference_minimize_convex(reference_frechet_oracle(V), V.shape[1], starts)
+        res = frechet_mean([TropicalPoint(tuple(v)) for v in V.tolist()])
+        assert res.diagnostics["raw_point"] == tuple(z.tolist())
+        assert res.objective == val
+
+    @pytest.mark.parametrize("n_leaves, s", [(4, 1), (4, 7), (5, 10), (6, 3), (8, 20)])
+    def test_tree_samples(self, n_leaves, s):
+        for seed in range(2):
+            self.assert_frechet_matches([p.coords for p in ultrametric_points(n_leaves, 40 + seed, s)])
+
+    def test_lattice_samples_run_max_iters(self, oracle_calls):
+        rng = np.random.default_rng(4321)  # criterion 5's generator
+        for _ in range(3):
+            self.assert_frechet_matches([p.coords for p in lattice_points_3d(rng, int(rng.integers(2, 11)))])
+        # a start ran all its iterations: the initial call, then one per later iteration
+        assert DescentConfig().max_iters in oracle_calls
+
+    def test_gaussian_samples(self):
+        rng = np.random.default_rng(8)
+        for s, e in [(1, 2), (2, 5), (9, 4), (15, 10), (30, 6)]:
+            self.assert_frechet_matches(rng.normal(size=(s, e)))
+
+    def test_one_point_stops_on_zero_subgradient(self, oracle_calls):
+        self.assert_frechet_matches([[0.0, -1.0, 3.0]])
+        assert oracle_calls == [1]
+
+    def test_ties_go_to_the_first_start(self):
+        def flat(z):
+            return 0.0, np.zeros_like(z)
+
+        def batched(Z):
+            return np.zeros(len(Z)), np.zeros_like(Z)
+
+        starts = [[2.0], [1.0]]
+        z, val = minimize_convex(batched, 1, starts)
+        assert (z.tolist(), val) == ([2.0], 0.0)
+        assert reference_minimize_convex(flat, 1, starts)[0].tolist() == [2.0]
+
+    def test_row_blocks(self, monkeypatch):
+        s, e = 12, 10
+        sizes = []
+        frechet_block = location._frechet_block
+
+        def block(Z, V):
+            sizes.append(len(Z))
+            return frechet_block(Z, V)
+
+        monkeypatch.setattr(location, "_CUBE_BLOCK", 4 * s * e)
+        monkeypatch.setattr(location, "_frechet_block", block)
+        rng = np.random.default_rng(12)
+        self.assert_frechet_matches(rng.normal(size=(s, e)))
+        assert max(sizes) == 4 and sizes[:4] == [4, 4, 4, 1]  # s + 1 starts
+
+    @pytest.mark.parametrize("config", [
+        DescentConfig(max_iters=0), DescentConfig(max_iters=30), DescentConfig(stall_limit=1),
+        DescentConfig(tol=-1e-3, max_iters=200), DescentConfig(initial_step=1e-9, tol=1.0),
+        DescentConfig(tol=0.0, min_step=1e-3),
+    ])
+    def test_configs(self, config):
+        # the one-point oracle applied row by row isolates the loop
+        rng = np.random.default_rng(5)
+        V = rng.normal(size=(8, 5))
+        one = reference_frechet_oracle(V)
+
+        def batched(Z):
+            vals, G = zip(*map(one, Z))
+            return np.array(vals), np.array(G)
+
+        starts = [row for row in V] + [np.median(V, axis=0)]
+        z, val = minimize_convex(batched, 5, starts, config)
+        z_ref, val_ref = reference_minimize_convex(one, 5, starts, config)
+        assert np.array_equal(z, z_ref)
+        assert val == val_ref
