@@ -510,6 +510,11 @@ def main(argv=None) -> int:
     except NewickError as exc:
         emit(args.command, {"message": str(exc)}, status="error", quiet=False)
         return EXIT_PARSE
+    except RecursionError:
+        # the Newick parser and the tree walks recurse once per nesting level
+        message = f"tree nests deeper than the recursion limit ({sys.getrecursionlimit()})"
+        emit(args.command, {"message": message}, status="error", quiet=False)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

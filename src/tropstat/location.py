@@ -1,6 +1,8 @@
 """Tropical Fermat-Weber points and Frechet means.
 
-The Fermat-Weber point is one optimal vertex of the location LP; the
+The Fermat-Weber point is one optimal vertex of the location LP, or,
+when that vertex of an all-ultrametric sample is not ultrametric, its
+tropical projection onto the sample's tropical convex hull; the
 Frechet mean is computed by direct convex minimization of the squared
 tropical distance sum with deterministic multi-start, all starts evaluated
 together by one batched oracle.
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TropicalPoint, _distances, _sample_arrays, canonicalize
+from .core import TropicalPoint, _distances, _project, _sample_arrays, canonicalize
 from .solver import (
     MIN,
     OPTIMAL,
@@ -21,7 +23,7 @@ from .solver import (
     minimize_convex,
     solve_lp,
 )
-from .treeio import _CUBE_BLOCK, _leaves_for, _single_linkage, _square, three_point_check
+from .treeio import _CUBE_BLOCK, _leaves_for, three_point_check
 
 FW_LP = "FW_LP"
 FRECHET_DESCENT = "FRECHET_DESCENT"
@@ -55,38 +57,34 @@ def build_fw_lp(sample: Sequence[TropicalPoint]) -> LinearProgram:
     variables), the formulation of Lin & Yoshida, *Tropical Fermat-Weber
     points* (2018).
     """
-    V = _sample_arrays(sample)
-    return _fw_lp(V, np.eye(V.shape[1]), np.zeros((0, V.shape[1])))
+    return _fw_lp(_sample_arrays(sample))
 
 
-def _fw_lp(V: np.ndarray, Y: np.ndarray, E: np.ndarray) -> LinearProgram:
-    """The compact FW LP with y = Y @ u over free variables u, a, b.
+def _fw_lp(V: np.ndarray) -> LinearProgram:
+    """The compact FW LP of the sample rows V.
 
     The s*e upper-bound rows y_j - a_i <= v_ij (point-major) come first,
-    then the s*e lower-bound rows b_i - y_j <= -v_ij, then the rows
-    E @ u <= 0.  Row order steers Bland's rule to one of the optimal
-    vertices: with the upper-bound block first, the plain vertex was
-    ultrametric on every seeded tree sample tried, so the cone refinement
-    seldom has to run.
+    then the s*e lower-bound rows b_i - y_j <= -v_ij.  Row order steers
+    Bland's rule to one of the optimal vertices, so it fixes the pivots
+    and the vertex that seeded output reports.
     """
     s, e = V.shape
-    Yrep = np.tile(Y, (s, 1))
+    Yrep = np.tile(np.eye(e), (s, 1))
     point = np.repeat(np.eye(s), e, axis=0)
     zero = np.zeros_like(point)
-    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point]),
-                      np.hstack([E, np.zeros((len(E), 2 * s))])])
-    rhs = np.concatenate([V.ravel(), -V.ravel(), np.zeros(len(E))])
-    objective = np.concatenate([np.zeros(Y.shape[1]), np.ones(s), -np.ones(s)])
+    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point])])
+    rhs = np.concatenate([V.ravel(), -V.ravel()])
+    objective = np.concatenate([np.zeros(e), np.ones(s), -np.ones(s)])
     return LinearProgram(MIN, objective, rows, rhs)
 
 
 def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
     """One optimal Fermat-Weber vertex via the deterministic simplex.
 
-    The optimal set is a polytope; for an all-ultrametric sample it contains
-    ultrametric points, so when the plain vertex falls outside the
-    three-point locus an equally optimal vertex inside it is selected by
-    re-solving over the cone of a candidate tree topology.
+    The optimal set is a polytope.  When the sample is all ultrametric and
+    the vertex is not, the vertex is replaced by its tropical projection
+    onto tconv(sample), which is an equally optimal ultrametric point (see
+    _refine_to_ultrametric).  Exactly one LP is solved.
     """
     V = _sample_arrays(sample)
     s, e = V.shape
@@ -112,58 +110,28 @@ def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
 
 
 def _refine_to_ultrametric(V: np.ndarray, raw, opt: float):
-    """Equally optimal ultrametric vertex for an all-ultrametric sample.
+    """Equally optimal ultrametric point for an all-ultrametric sample whose
+    optimum raw is not ultrametric: the tropical projection of raw onto
+    tconv(V).  Returns None when refinement does not apply.
 
-    Candidate topologies come from single linkage on the plain optimum
-    (then on each sample point); the LP is re-solved with coordinates tied
-    to node heights of the candidate tree, which confines it to that
-    topology's cone.  Returns None when refinement does not apply.
+    With lam_l = min_j(raw_j - v_lj), the projection z is at most raw in
+    every coordinate and z - v_i >= lam_i, so no distance d(z, v_i)
+    exceeds d(raw, v_i) and z is optimal too.  Ultrametrics are tropically
+    convex (Lin, Sturmfels, Tang & Yoshida, *Convexity in tree spaces*,
+    2017), so z is ultrametric.
     """
-    s, e = V.shape
     try:
-        _leaves_for(e)
+        _leaves_for(V.shape[1])
     except ValueError:
         return None
-    if not all(three_point_check(row, tol=1e-9) for row in V):
+    if three_point_check(raw, tol=1e-9) or not all(
+        three_point_check(row, tol=1e-9) for row in V
+    ):
         return None
-    if three_point_check(raw, tol=1e-9):
-        return None
-    for cand in [np.asarray(raw)] + [V[i] for i in range(s)]:
-        node_of, edges = _merge_nodes(cand)
-        sol = solve_lp(_cone_fw_lp(V, node_of, edges))
-        if sol.status == OPTIMAL and sol.objective_value <= opt + 1e-7:
-            return tuple(2.0 * float(sol.x[m]) for m in node_of)
+    z = _project(np.asarray(raw), V)[1]
+    if _distances(z, V).sum() <= opt + 1e-7:
+        return tuple(z.tolist())
     return None
-
-
-def _merge_nodes(vec):
-    """Merge node of each leaf pair (in pair order) and the child->parent
-    node edges of the single-linkage tree of vec; node k is the k-th merge."""
-    D = _square(vec, np.inf)
-    n = len(D)
-    cluster = np.arange(n)
-    node = np.empty((n, n), dtype=int)
-    top = {}  # cluster -> its newest node
-    edges = []
-    for k, (a, b, _) in enumerate(_single_linkage(D)):
-        in_a, in_b = cluster == a, cluster == b
-        node[np.ix_(in_a, in_b)] = node[np.ix_(in_b, in_a)] = k
-        cluster[in_b] = a
-        edges += [(top[c], k) for c in (a, b) if c in top]
-        top[a] = k
-    return node[np.triu_indices(n, 1)].tolist(), edges
-
-
-def _cone_fw_lp(V, node_of, edges):
-    """The FW LP with y_p = 2 * height(merge node of pair p), and every child
-    node no higher than its parent, for a fixed topology."""
-    e = V.shape[1]
-    n_nodes = max(node_of) + 1
-    Y = np.zeros((e, n_nodes))
-    Y[np.arange(e), node_of] = 2.0
-    child, parent = np.array(edges, dtype=int).reshape(-1, 2).T
-    unit = np.eye(n_nodes)
-    return _fw_lp(V, Y, unit[child] - unit[parent])
 
 
 def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:

@@ -21,7 +21,7 @@ from .core import (
     _project,
     _sample_arrays,
 )
-from .treeio import three_point_check
+from .treeio import _CUBE_BLOCK, three_point_check
 
 
 @dataclass
@@ -71,20 +71,7 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
         raise ValueError("vertex count out of range")
     X = _sample_arrays(S)
     V = X - X[:, :1]
-    dist = _distances(X[:, None, :], X)
-
-    current = [0]
-    if s >= 2:
-        # farthest pair: the first row-major maximum, smallest indices on ties
-        rows, cols = np.triu_indices(n, 1)
-        k = int(dist[rows, cols].argmax())
-        current = [int(rows[k]), int(cols[k])]
-    while len(current) < s:
-        scores = dist[:, current].sum(axis=1)
-        scores[current] = -np.inf
-        current.append(int(np.argmax(scores)))
-    current = sorted(current)
-
+    current = _farthest_first(X, s)
     obj = _residual(X, V[current])
     trace = [obj]
     improved = True
@@ -113,6 +100,34 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
         trace=tuple(trace),
         vertex_indices=tuple(current),
     )
+
+
+def _farthest_first(X: np.ndarray, s: int) -> list[int]:
+    """Sorted row indices of the greedy start: the farthest pair (the first
+    row-major maximum over i < j), then the row with the largest distance
+    sum to the rows chosen, until s are chosen.
+
+    The pair is found in slabs of rows whose (rows, n, e) differences fit in
+    _CUBE_BLOCK, so no (n, n, e) array is built.  Each sum adds the chosen
+    rows' distances in the order they were chosen.
+    """
+    n, e = X.shape
+    current = [0]
+    if s >= 2:
+        per, best = max(1, _CUBE_BLOCK // (n * e)), -np.inf
+        for lo in range(0, n, per):
+            d = _distances(X[lo : lo + per, None, :], X)
+            d[np.tri(len(d), n, lo, dtype=bool)] = -np.inf  # keep j > i
+            k = int(d.argmax())
+            if d.flat[k] > best:
+                best, current = d.flat[k], [lo + k // n, k % n]
+    total = sum(_distances(X[c], X) for c in current)
+    while len(current) < s:
+        scores = total.copy()
+        scores[current] = -np.inf
+        current.append(int(np.argmax(scores)))
+        total += _distances(X[current[-1]], X)
+    return sorted(current)
 
 
 def pca_coordinates(

@@ -147,6 +147,23 @@ class TestExitCodes:
         assert env["command"] == command
         assert env["status"] == "error"
 
+    def test_deep_tree_is_2(self, capsys, tmp_path, schema):
+        # a caterpillar nests once per leaf, past the recursion limit
+        text = "t1"
+        for k in range(2, sys.getrecursionlimit() + 101):
+            text = f"({text}:1,t{k}:{k - 1})"
+        deep = tmp_path / "deep.nwk"
+        deep.write_text(text + ";\n")
+        code = main(["tree", "newick2ultra", str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1
+        env = envelope_of(captured.out)
+        jsonschema.validate(env, schema)
+        assert env["command"] == "tree"
+        assert "recursion limit" in env["result"]["message"]
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["metric", "--help"])

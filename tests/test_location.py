@@ -1,7 +1,5 @@
 """Fermat-Weber points and Frechet means against grid oracles."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
@@ -12,59 +10,19 @@ from tropstat import (
     frechet_mean,
     frechet_objective,
     fw_objective,
-    pair_index,
     three_point_check,
     trop_distance,
 )
-from tropstat.location import _merge_nodes, _refine_to_ultrametric
-from tropstat.treeio import _leaves_for
+from tropstat import location
+from tropstat.location import _refine_to_ultrametric
+from tropstat.solver import solve_lp
 from conftest import (
     FIG_LEFT_VECTOR,
     FIG_RIGHT_VECTOR,
     grid_minimum,
     lattice_points_3d,
-    seeded_vectors,
     ultrametric_points,
 )
-
-
-def reference_single_linkage_merges(vec, n):
-    """The former cluster-list single linkage of the cone refinement, kept as
-    the reference: (merge node per 1-based leaf pair, child->parent edges,
-    node count)."""
-
-    def get(i, j):
-        if i > j:
-            i, j = j, i
-        return vec[pair_index(i, j, n)]
-
-    merge_of_pair = {}
-    edges = []
-    clusters = [((i,), None) for i in range(1, n + 1)]  # (members, node id)
-    next_id = 0
-    while len(clusters) > 1:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = min(get(i, j) for i in clusters[a][0] for j in clusters[b][0])
-                key = (d, clusters[a][0][0], clusters[b][0][0])
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        (ma, ia), (mb, ib) = clusters[a], clusters[b]
-        node = next_id
-        next_id += 1
-        for i in ma:
-            for j in mb:
-                merge_of_pair[(min(i, j), max(i, j))] = node
-        for child in (ia, ib):
-            if child is not None:
-                edges.append((child, node))
-        merged = (tuple(sorted(ma + mb)), node)
-        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0][0])
-    return merge_of_pair, edges, next_id
 
 
 def highs_fw_optimum(sample) -> float:
@@ -178,6 +136,28 @@ class TestUltrametricClosure:
         assert three_point_check(refined, tol=1e-9)
         assert fw_objective(TropicalPoint(refined), sample) == pytest.approx(opt, abs=1e-7)
 
+    def test_one_lp_even_when_the_vertex_is_projected(self, monkeypatch):
+        # The solver is made to report the non-ultrametric midpoint of the
+        # test above as its vertex: fermat_weber projects it and solves no
+        # second LP.
+        u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
+        sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
+        calls = []
+
+        def midpoint_vertex(lp):
+            calls.append(lp)
+            sol = solve_lp(lp)
+            sol.x[: len(u)] = (u + v) / 2
+            return sol
+
+        monkeypatch.setattr(location, "solve_lp", midpoint_vertex)
+        res = fermat_weber(sample)
+        assert len(calls) == 1
+        assert res.diagnostics["closure_refined"] is True
+        assert check_ultrametric_closure(res, 4, tol=1e-9)
+        assert res.objective == pytest.approx(trop_distance(*sample), abs=1e-12)
+        assert fw_objective(res.point, sample) == pytest.approx(res.objective, abs=1e-9)
+
     def test_records_raw_representative(self):
         sample = ultrametric_points(4, 105, 5)
         res = fermat_weber(sample)
@@ -185,15 +165,6 @@ class TestUltrametricClosure:
         closure = res.diagnostics["ultrametric_closure"]
         assert set(closure) == {"raw"}
         assert closure["raw"] is ok
-
-    def test_merge_nodes_match_cluster_list_reference(self):
-        for v in seeded_vectors(29, 400):
-            n = _leaves_for(len(v))
-            merge_of_pair, edges, n_nodes = reference_single_linkage_merges(v, n)
-            node_of, new_edges = _merge_nodes(v)
-            assert node_of == [merge_of_pair[p] for p in combinations(range(1, n + 1), 2)]
-            assert new_edges == edges
-            assert max(node_of) + 1 == n_nodes
 
     def test_dimension_guard(self):
         res = fermat_weber([TropicalPoint((0.0, 1.0, 2.0))])

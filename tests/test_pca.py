@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tropstat import pca
 from tropstat import (
     TropicalPoint,
     TropicalPolytope,
@@ -70,6 +71,23 @@ def reference_fit(S, s):
                 break
     projections = [reference_projection(u, vertices(current))[1] for u in S]
     return tuple(current), obj, tuple(trace), projections
+
+
+def reference_start(X, s):
+    """The greedy start as fit_principal_polytope took it from the full
+    (n, n, e) difference cube."""
+    diff = X[:, None, :] - X
+    dist = diff.max(axis=-1) - diff.min(axis=-1)
+    current = [0]
+    if s >= 2:
+        rows, cols = np.triu_indices(len(X), 1)
+        k = int(dist[rows, cols].argmax())
+        current = [int(rows[k]), int(cols[k])]
+    while len(current) < s:
+        scores = dist[:, current].sum(axis=1)
+        scores[current] = -np.inf
+        current.append(int(np.argmax(scores)))
+    return sorted(current)
 
 
 def reference_weights(D, u):
@@ -163,6 +181,29 @@ class TestMatchesPerPointReference:
                 ]
                 D = model.polytope.matrix()
                 assert pca_objective(model.polytope, S) == reference_objective(D, S)
+
+    def test_blocked_start_bit_for_bit(self, monkeypatch):
+        # slabs of one row, of two rows with a ragged last slab, and one
+        # slab; up to 12 vertices, so each distance sum adds 11 rows
+        rng = np.random.default_rng(5)
+        samples = [np.array([p.coords for p in S]) for S in seeded_samples(4, 9)]
+        samples += [rng.integers(0, 3, size=(31, 5)).astype(float), rng.normal(size=(31, 5))]
+        default = pca._CUBE_BLOCK
+        for X in samples:
+            n, e = X.shape
+            for s in range(1, min(n, 12) + 1):
+                want = reference_start(X, s)
+                for block in (1, 2 * n * e, default):
+                    monkeypatch.setattr(pca, "_CUBE_BLOCK", block)
+                    assert pca._farthest_first(X, s) == want
+            S = [TropicalPoint(tuple(r)) for r in X]
+            monkeypatch.setattr(pca, "_CUBE_BLOCK", default)
+            whole = fit_principal_polytope(S, 3)
+            monkeypatch.setattr(pca, "_CUBE_BLOCK", 1)
+            blocked = fit_principal_polytope(S, 3)
+            assert blocked.vertex_indices == whole.vertex_indices
+            assert blocked.trace == whole.trace
+            assert blocked.assignment == whole.assignment
 
     def test_farthest_pair_tie_takes_first_pair(self):
         # the search starts at (0, 5), the first of the tied pairs

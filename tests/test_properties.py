@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstat import (
+    DissimilarityMap,
     TropicalPoint,
     TropicalPolytope,
+    cophenetic,
+    fw_objective,
     in_polytope,
     project_onto_polytope,
+    three_point_check,
     trop_distance,
     trop_segment,
     tropical_combination,
 )
+from tropstat.location import _refine_to_ultrametric
+from tropstat.treeio import _build_tree, _leaf_names
 
 finite_coord = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -22,6 +28,18 @@ finite_coord = st.floats(
 
 def points(dim):
     return st.tuples(*([finite_coord] * dim)).map(TropicalPoint)
+
+
+@st.composite
+def ultrametric_pairs(draw):
+    """Two ultrametrics on 4-6 leaves: the single-linkage (subdominant)
+    ultrametrics of two random dissimilarity maps."""
+    n = draw(st.integers(4, 6))
+    names = tuple(_leaf_names(n))
+    dissimilarity = st.lists(st.floats(0.0, 10.0), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2)
+    return [cophenetic(_build_tree(DissimilarityMap(n, draw(dissimilarity), names))).as_array()
+            for _ in range(2)]
 
 
 @st.composite
@@ -96,9 +114,33 @@ class TestProjection:
             z = tropical_combination(lam, P)
             assert trop_distance(x, z) >= d_star - 1e-9
 
+    @given(st.lists(points(4), min_size=1, max_size=5), points(4))
+    @settings(max_examples=60)
+    def test_moves_no_point_farther_from_a_vertex(self, verts, x):
+        P = TropicalPolytope(tuple(verts))
+        pi = project_onto_polytope(x, P)
+        for v in P.vertices:
+            assert trop_distance(pi, v) <= trop_distance(x, v) + 1e-9
+
     @given(st.lists(points(4), min_size=1, max_size=4))
     @settings(max_examples=40)
     def test_vertices_project_to_themselves(self, verts):
         P = TropicalPolytope(tuple(verts))
         for v in P.vertices:
             assert project_onto_polytope(v, P).close_to(v, tol=1e-9)
+
+
+class TestUltrametricRefinement:
+    @given(ultrametric_pairs(), st.floats(0.0, 1.0))
+    @settings(max_examples=60)
+    def test_convex_combination_of_two_trees(self, pair, t):
+        # every classical convex combination z of u and v is a Fermat-Weber
+        # point of {u, v}: d(u, z) + d(z, v) = d(u, v)
+        u, v = pair
+        sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
+        z = tuple((1.0 - t) * u + t * v)
+        opt = trop_distance(*sample)
+        refined = _refine_to_ultrametric(np.array(pair), z, opt)
+        point = z if refined is None else refined
+        assert three_point_check(point, tol=1e-9)
+        assert fw_objective(TropicalPoint(point), sample) == pytest.approx(opt, abs=1e-9)
