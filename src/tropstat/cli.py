@@ -116,14 +116,11 @@ def read_points(path: str, header: bool) -> np.ndarray:
     skipped, and a bad cell or row is reported as path:line."""
     rows = []
     linenos = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if row and not (header and lineno == 1):
-                    rows.append(row)
-                    linenos.append(lineno)
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if row and not (header and lineno == 1):
+                rows.append(row)
+                linenos.append(lineno)
     if not rows:
         raise CliError(f"{path}: no data rows", EXIT_PARSE)
     try:
@@ -185,8 +182,8 @@ def cmd_metric(args):
     if "," in args.a:
         va, vb = parse_vector(args.a), parse_vector(args.b)
     else:
-        va = read_points(args.a, args.header)[0].tolist()
-        vb = read_points(args.b, args.header)[0].tolist()
+        va, vb = (_points(read_points(path, args.header)[:1])[0].coords
+                  for path in (args.a, args.b))
     if len(va) != len(vb):
         raise CliError("vectors have different dimensions", EXIT_DIMENSION)
     d = trop_distance(TropicalPoint(tuple(va)), TropicalPoint(tuple(vb)))
@@ -200,7 +197,7 @@ def _location(args, command):
     except (RuntimeError, ValueError) as exc:
         raise CliError(str(exc), EXIT_SOLVER)
     diagnostics = dict(res.diagnostics)
-    if args.check_ultrametric:
+    if args.check_ultrametric is not None:
         n = args.check_ultrametric
         if res.point.dim != n * (n - 1) // 2:
             raise CliError(
@@ -279,7 +276,7 @@ def cmd_svm(args):
         raise CliError("predict requires --model", EXIT_BAD_PARAM)
     try:
         model = load_model(args.model)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad model file: {exc}", EXIT_PARSE)
     X = read_points(args.data, args.header)
     if model.omega.dim != X.shape[1]:
@@ -288,11 +285,8 @@ def cmd_svm(args):
 
 
 def _read_newick_lines(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
     trees = []
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -500,6 +494,8 @@ def main(argv=None) -> int:
             raise CliError(
                 f"--tol must be finite and nonnegative, got {args.tol}", EXIT_BAD_PARAM
             )
+        if args.seed is not None and args.seed < 0:
+            raise CliError(f"--seed must be nonnegative, got {args.seed}", EXIT_BAD_PARAM)
         if args.command == "tree" and args.action != "simulate" and args.input is None:
             raise CliError("missing input file", EXIT_BAD_PARAM)
         args.func(args)
@@ -507,11 +503,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         emit(args.command, {"message": str(exc)}, status="error", quiet=False)
         return exc.code
-    except NewickError as exc:
+    except (NewickError, OSError, UnicodeDecodeError) as exc:
+        # malformed Newick, an unreadable or non-UTF-8 input file, or an
+        # unwritable --out, --out-prefix or --model-out
         emit(args.command, {"message": str(exc)}, status="error", quiet=False)
         return EXIT_PARSE
     except RecursionError:
-        # the Newick parser and the tree walks recurse once per nesting level
+        # the Newick parser recurses once per nesting level
         message = f"tree nests deeper than the recursion limit ({sys.getrecursionlimit()})"
         emit(args.command, {"message": message}, status="error", quiet=False)
         return EXIT_PARSE

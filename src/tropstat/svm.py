@@ -312,9 +312,13 @@ def model_to_dict(model: SvmModel) -> dict:
 
 
 def model_from_dict(data: dict) -> SvmModel:
+    omega = canonicalize(data["omega"])
     asg = SectorAssignment(**data["assignment"])
+    indices = (asg.ip, asg.jp, asg.iq, asg.jq)
+    if not all(type(k) is int and 0 <= k < omega.dim for k in indices):
+        raise ValueError(f"assignment indices must be integers in 0..{omega.dim - 1}")
     return SvmModel(
-        omega=canonicalize(data["omega"]),
+        omega=omega,
         assignment=asg,
         margin=float(data["margin"]),
         mode=data["mode"],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -50,20 +49,23 @@ class PhyloTree:
             raise ValueError("duplicate leaf labels")
 
     def leaf_names(self) -> list[str]:
-        out: list[str] = []
-
-        def walk(node):
-            if node.is_leaf:
-                out.append(node.name or "")
-            for ch in node.children:
-                walk(ch)
-
-        walk(self.root)
-        return sorted(out)
+        return sorted(node.name or "" for node in _postorder(self.root) if node.is_leaf)
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_names())
+
+
+def _postorder(root: TreeNode) -> list[TreeNode]:
+    """Every node of the tree at root, each child before its parent and
+    children left to right; an explicit stack, so any depth is walked."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -134,25 +136,19 @@ def parse_newick(text: str) -> PhyloTree:
 
 def serialize_newick(t: PhyloTree) -> str:
     """Canonical Newick string: children ordered by smallest leaf label."""
-
-    def min_leaf(node) -> str:
+    done: dict[int, tuple[str, str]] = {}  # node id -> (smallest leaf label, text)
+    for node in _postorder(t.root):
         if node.is_leaf:
-            return node.name or ""
-        return min(min_leaf(ch) for ch in node.children)
-
-    def fmt(node, with_length: bool) -> str:
-        if node.is_leaf:
-            body = node.name
-        else:
-            kids = sorted(node.children, key=min_leaf)
-            body = "(" + ",".join(fmt(ch, True) for ch in kids) + ")"
-            if node.name:
-                body += node.name
-        if with_length:
-            body += ":" + _fmt_len(node.length)
-        return body
-
-    return fmt(t.root, t.root.length != 0.0) + ";"
+            done[id(node)] = (node.name or "", node.name)
+            continue
+        kids = [(*done.pop(id(ch)), ch.length) for ch in node.children]
+        kids.sort(key=lambda kid: kid[0])
+        body = ",".join(f"{text}:{_fmt_len(x)}" for _, text, x in kids)
+        done[id(node)] = (kids[0][0], f"({body}){node.name or ''}")
+    text = done[id(t.root)][1]
+    if t.root.length != 0.0:
+        text += ":" + _fmt_len(t.root.length)
+    return text + ";"
 
 
 def _fmt_len(x: float) -> str:
@@ -226,38 +222,33 @@ def cophenetic(t: PhyloTree) -> DissimilarityMap:
     order = {name: k for k, name in enumerate(names)}
     n = len(names)
     dist = np.zeros((n, n))
-
-    def walk(node) -> dict[int, float]:
+    below: dict[int, dict[int, float]] = {}  # node id -> {leaf: path to its parent}
+    for node in _postorder(t.root):
         if node.is_leaf:
-            return {order[node.name]: node.length}
+            below[id(node)] = {order[node.name]: node.length}
+            continue
         merged: dict[int, float] = {}
         for ch in node.children:
-            sub = walk(ch)
+            sub = below.pop(id(ch))
             for i, di in merged.items():
                 for j, dj in sub.items():
                     dist[i, j] = dist[j, i] = di + dj
             merged.update(sub)
-        return {i: d + node.length for i, d in merged.items()}
-
-    walk(t.root)
-    values = tuple(
-        dist[i, j] for i, j in combinations(range(n), 2)
-    )
-    return DissimilarityMap(n, values, tuple(names))
+        below[id(node)] = {i: d + node.length for i, d in merged.items()}
+    values = dist[np.triu_indices(n, 1)]  # row-major order is lexicographic pair order
+    return DissimilarityMap(n, tuple(values.tolist()), tuple(names))
 
 
 def is_equidistant(t: PhyloTree, tol: float = STRUCT_TOL) -> tuple[bool, float]:
     """Whether all root-to-leaf path lengths agree within tol, plus the height."""
+    above = {id(t.root): 0.0}  # node id -> path length from the root to its parent
     depths: list[float] = []
-
-    def walk(node, acc):
-        acc += node.length
+    for node in reversed(_postorder(t.root)):
+        acc = above.pop(id(node)) + node.length
         if node.is_leaf:
             depths.append(acc)
         for ch in node.children:
-            walk(ch, acc)
-
-    walk(t.root, 0.0)
+            above[id(ch)] = acc
     height = max(depths)
     return (height - min(depths)) <= tol, height
 
@@ -359,10 +350,11 @@ def _build_tree(u: DissimilarityMap) -> PhyloTree:
 
 def topology_id(t: PhyloTree) -> str:
     """Canonical label-set nesting string, independent of branch lengths."""
-
-    def walk(node) -> str:
+    ids: dict[int, str] = {}  # node id -> its subtree's string
+    for node in _postorder(t.root):
         if node.is_leaf:
-            return node.name or ""
-        return "(" + ",".join(sorted(walk(ch) for ch in node.children)) + ")"
-
-    return walk(t.root)
+            ids[id(node)] = node.name or ""
+        else:
+            kids = sorted(ids.pop(id(ch)) for ch in node.children)
+            ids[id(node)] = "(" + ",".join(kids) + ")"
+    return ids[id(t.root)]

@@ -256,6 +256,8 @@ def test_criterion_9_determinism(tmp_path):
     )
     reg = tmp_path / "reg.csv"
     reg.write_text("\n".join(f"{x},{max(1.0, 0.5 + x)}" for x in range(5)) + "\n")
+    svm = tmp_path / "svm.csv"
+    svm.write_text("0,1,2,0\n0,2,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n")
 
     commands = [
         ["--seed", "7", "tree", "simulate", "--n", "4", "--count", "100"],
@@ -263,6 +265,9 @@ def test_criterion_9_determinism(tmp_path):
         ["--seed", "1", "lda", str(u4), str(c1)],
         ["--seed", "2", "regress", str(reg)],
         ["--seed", "5", "fw", str(u4), "--check-ultrametric", "4"],
+        ["tree", "ultra2newick", str(u4)],
+        ["tree", "check", str(c1)],
+        ["svm", "train", str(svm), "--mode", "soft", "--C", "10"],
     ]
     for argv in commands:
         runs = [

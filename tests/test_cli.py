@@ -1,14 +1,20 @@
 """CLI contract: envelopes, exit codes, artifacts, and determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import src_env
 from tropstat import cli, treeio
@@ -497,3 +503,215 @@ class TestDeterminism:
         _, a = run(capsys, "--seed", "3", "pca", str(pts), "-s", "3")
         _, b = run(capsys, "--seed", "3", "pca", str(pts), "-s", "3")
         assert a == b
+
+
+# --- the exit-code contract under random argv --------------------------------
+#
+# A run is (argv, files): "@name" in argv is the file `name` of a fresh
+# directory, written from files[name]; other arguments pass through, so
+# "/nonexistent/..." stays an unwritable or unreadable path.
+
+U_ROWS = [  # by leaf count; the last row of each fails the three-point condition
+    ["1,2,2", "2,1,2", "2,2,1", "0,0,0", "1,2,3"],
+    ["1.2,1.8,2,1.8,2,2", "0.2,2,2,2,2,1", "1,1,1,1,1,1", "1,2,3,4,5,6"],
+]
+NUMBERS = ["0", "1", "-1", "0.5", "2.25", "3", "-2.5", "1e3"]
+JUNK = ["nan", "inf", "-inf", "x", "", "1e400", " 1", "0x1"]
+NEWICKS = [
+    "((a:1,b:1):1,c:2);", "(((a:0.6,b:0.6):0.3,c:0.9):0.1,d:1.0);",
+    "((a:1,b:2):1,(c:0.5,d:0.5):1.5)r:0.5;", "(a:1,b:1);", "((a,b),c);",
+    "((a:1,b:1):1,c:2)", "(a:1,a:1);", "(:1,b:1);", "(a:x,b:1);", "((a:1,b:1);",
+    "(a:1,b:1); junk", "(a:-1,b:1);", ";", "",
+]
+MODEL = {
+    "omega": [0.0, 0.5, -0.5],
+    "assignment": {"ip": 0, "jp": 1, "iq": 1, "jq": 2},
+    "margin": 0.25,
+    "mode": "hard",
+    "C": None,
+}
+JSON_JUNK = [None, 7, -1, 1.5, "x", True, [], [0, 1], {}]
+
+
+def model_text(**changes):
+    model = json.loads(json.dumps(MODEL))
+    for key, value in changes.items():
+        if key in model["assignment"]:
+            model["assignment"][key] = value
+        else:
+            model[key] = value
+    return json.dumps(model)
+
+
+@st.composite
+def csv_texts(draw, kinds=("ultrametric", "numbers", "labelled", "dirty")):
+    """At most 6 rows of at most 6 cells: ultrametric rows, numbers, numbers
+    with alternating 0/1 labels, or numbers mixed with bad cells and ragged
+    rows."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ultrametric":
+        rows = st.sampled_from(draw(st.sampled_from(U_ROWS)))
+        return "\n".join(draw(st.lists(rows, min_size=1, max_size=6)))
+    ncol = draw(st.integers(1, 6))
+    cells = st.sampled_from(NUMBERS + JUNK if kind == "dirty" else NUMBERS)
+    width = st.integers(max(1, ncol - 1), ncol) if kind == "dirty" else st.just(ncol)
+    rows = draw(st.lists(st.builds(lambda k, c: c[:k], width, st.lists(
+        cells, min_size=ncol, max_size=ncol)), min_size=kind != "dirty", max_size=6))
+    if kind == "labelled":
+        rows = [row[:-1] + [str(k % 2)] for k, row in enumerate(rows)]
+    return "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def model_texts(draw):
+    """The model above, with one key dropped or set to junk, or junk itself."""
+    kind = draw(st.sampled_from(["valid", "set", "drop", "junk", "text"]))
+    key = draw(st.sampled_from(["omega", "margin", "mode", "ip", "jp", "iq", "jq"]))
+    if kind == "set":
+        return model_text(**{key: draw(st.sampled_from(JSON_JUNK))})
+    if kind == "drop":
+        model = json.loads(model_text())
+        del (model if key in model else model["assignment"])[key]
+        return json.dumps(model)
+    if kind == "junk":
+        return json.dumps(draw(st.sampled_from(JSON_JUNK)))
+    return model_text() if kind == "valid" else "{not json"
+
+
+@st.composite
+def cli_runs(draw):
+    files = {}
+
+    def new_file(content):
+        name = f"f{len(files)}"
+        files[name] = draw(content)
+        return "@" + name
+
+    def csv_file(*kinds):
+        kind = draw(st.sampled_from(["csv"] * 6 + ["missing", "directory"]))
+        if kind == "csv":
+            return new_file(csv_texts(*kinds))
+        return "/nonexistent/in.csv" if kind == "missing" else "@"
+
+    def out_path():
+        return draw(st.sampled_from(["@out", "/nonexistent/out"]))
+
+    def small_int(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--seed", small_int(-1, 5)]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["0", "1e-9", "1e-6", "0.5", "-1"]))]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--header", "--quiet"])))
+    command = draw(st.sampled_from([
+        "metric", "fw", "frechet", "pca", "svm train", "svm predict", "tree newick2ultra",
+        "tree ultra2newick", "tree check", "tree simulate", "lda", "regress",
+    ]))
+    argv += command.split()
+    if command == "metric":
+        if draw(st.booleans()):
+            vector = st.lists(st.sampled_from(NUMBERS + ["nan", "x"]), min_size=1, max_size=6)
+            argv += [",".join(draw(vector)) + ",0", ",".join(draw(vector))]
+        else:
+            argv += [csv_file(), csv_file()]
+    elif command in ("fw", "frechet"):
+        argv.append(csv_file())
+        if draw(st.booleans()):
+            argv += ["--check-ultrametric", small_int(-1, 4)]
+    elif command == "pca":
+        argv += [csv_file(), "-s", small_int(0, 7)]
+        if draw(st.booleans()):
+            argv += ["--out-prefix", out_path()]
+    elif command == "svm train":
+        argv.append(csv_file(("labelled", "labelled", "dirty")))
+        if draw(st.booleans()):
+            argv += ["--mode", "soft", "--C", draw(st.sampled_from(["0.01", "1", "10", "-1"]))]
+        if draw(st.booleans()):
+            argv += ["--model-out", out_path()]
+    elif command == "svm predict":
+        argv += [csv_file(), "--model", new_file(model_texts())]
+    elif command == "tree newick2ultra":
+        argv.append(new_file(st.lists(st.sampled_from(NEWICKS), min_size=1, max_size=4).map("\n".join)))
+    elif command == "tree simulate":
+        argv += ["--n", draw(st.sampled_from(["4", "8", "3", "2"])),
+                 "--count", draw(st.sampled_from(["2", "5", "1", "0"]))]
+        if draw(st.booleans()):
+            argv += ["--height", draw(st.sampled_from(["0.5", "0", "-1", "inf"]))]
+    elif command.startswith("tree"):
+        argv.append(csv_file())
+    elif command == "lda":
+        argv += [csv_file(), csv_file()]
+    else:
+        argv.append(csv_file())
+    if command.startswith("tree") and command != "tree check" and draw(st.booleans()):
+        argv += ["--out", out_path()]
+    return argv, files
+
+
+def run_in(directory, argv, files):
+    """main(argv) with "@name" resolved in directory; (exit code, stdout)."""
+    for name, content in files.items():
+        data = content if isinstance(content, bytes) else content.encode()
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(data)
+    argv = [os.path.join(directory, a[1:]) if a.startswith("@") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+ONE_COLUMN = "0\n1\n"
+TREES = "((a:1,b:1):1,c:2);\n"
+POINTS = "0,1,2\n0,2,1\n0,-1,1\n0,1,-1\n"
+LABELLED = "0,1,2,0\n0,2,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n"
+CONTRACT_CASES = [
+    # unwritable outputs
+    (["tree", "newick2ultra", "@t", "--out", "/nonexistent/o.csv"], {"t": TREES}, 2),
+    (["pca", "@p", "-s", "3", "--out-prefix", "/nonexistent/x"], {"p": POINTS}, 2),
+    (["svm", "train", "@d", "--mode", "soft", "--model-out", "/nonexistent/m.json"],
+     {"d": LABELLED}, 2),
+    # bad parameters
+    (["--seed", "-1", "tree", "simulate", "--n", "4", "--count", "2"], {}, 5),
+    (["--seed", "-1", "lda", "@p", "@p"], {"p": POINTS}, 5),
+    (["--seed", "-1", "regress", "@p"], {"p": POINTS}, 5),
+    (["fw", "@p", "--check-ultrametric", "0"], {"p": POINTS}, 3),
+    # input files
+    (["metric", "@a", "@a"], {"a": ONE_COLUMN}, 2),
+    (["fw", "@p"], {"p": b"0,1\n\xff,2\n"}, 2),
+    (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(margin=None)}, 2),
+    (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": "[1, 2]"}, 2),
+    (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(ip=7)}, 2),
+    (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(jq=-1)}, 2),
+]
+
+
+def with_contract_examples(test):
+    for argv, files, _ in CONTRACT_CASES:
+        test = example((argv, files))(test)
+    return test
+
+
+class TestContractFuzz:
+    @pytest.mark.parametrize("argv, files, code", CONTRACT_CASES)
+    def test_contract_case(self, tmp_path, schema, argv, files, code):
+        got, out = run_in(tmp_path, argv, files)
+        assert got == code
+        env = json.loads(out.splitlines()[-1])
+        jsonschema.validate(env, schema)
+        assert env["status"] == "error"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @with_contract_examples
+    @given(cli_runs())
+    def test_main_keeps_the_exit_code_contract(self, schema, run):
+        with tempfile.TemporaryDirectory() as directory:
+            code, out = run_in(directory, *run)
+        assert code in (0, 2, 3, 4, 5, 6, 7)
+        if code:
+            env = json.loads(out.splitlines()[-1])
+            jsonschema.validate(env, schema)
+            assert env["status"] == "error"

@@ -1,9 +1,12 @@
 """Newick I/O, cophenetic maps, three-point checks, tree reconstruction."""
 
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropstat import (
     DissimilarityMap,
@@ -20,7 +23,7 @@ from tropstat import (
     ultrametric_to_tree,
 )
 from tropstat import treeio
-from tropstat.treeio import PhyloTree, TreeNode, _leaf_names
+from tropstat.treeio import PhyloTree, TreeNode, _build_tree, _leaf_names
 from conftest import (
     FIG_LEFT_NEWICK,
     FIG_LEFT_VECTOR,
@@ -72,6 +75,111 @@ def reference_ultrametric_to_tree(u, tol=1e-9):
         clusters.append(merged)
         clusters.sort(key=lambda c: c[0])
     return PhyloTree(clusters[0][1])
+
+
+def reference_leaf_names(t):
+    """The former recursive walkers, kept as bit-for-bit references for the
+    postorder loops."""
+    out = []
+
+    def walk(node):
+        if node.is_leaf:
+            out.append(node.name or "")
+        for ch in node.children:
+            walk(ch)
+
+    walk(t.root)
+    return sorted(out)
+
+
+def reference_serialize_newick(t):
+    def min_leaf(node):
+        if node.is_leaf:
+            return node.name or ""
+        return min(min_leaf(ch) for ch in node.children)
+
+    def fmt(node, with_length):
+        if node.is_leaf:
+            body = node.name
+        else:
+            kids = sorted(node.children, key=min_leaf)
+            body = "(" + ",".join(fmt(ch, True) for ch in kids) + ")"
+            if node.name:
+                body += node.name
+        if with_length:
+            body += ":" + treeio._fmt_len(node.length)
+        return body
+
+    return fmt(t.root, t.root.length != 0.0) + ";"
+
+
+def reference_cophenetic_values(t):
+    names = reference_leaf_names(t)
+    order = {name: k for k, name in enumerate(names)}
+    n = len(names)
+    dist = np.zeros((n, n))
+
+    def walk(node):
+        if node.is_leaf:
+            return {order[node.name]: node.length}
+        merged = {}
+        for ch in node.children:
+            sub = walk(ch)
+            for i, di in merged.items():
+                for j, dj in sub.items():
+                    dist[i, j] = dist[j, i] = di + dj
+            merged.update(sub)
+        return {i: d + node.length for i, d in merged.items()}
+
+    walk(t.root)
+    return tuple(float(dist[i, j]) for i, j in combinations(range(n), 2))
+
+
+def reference_is_equidistant(t, tol=1e-9):
+    depths = []
+
+    def walk(node, acc):
+        acc += node.length
+        if node.is_leaf:
+            depths.append(acc)
+        for ch in node.children:
+            walk(ch, acc)
+
+    walk(t.root, 0.0)
+    height = max(depths)
+    return (height - min(depths)) <= tol, height
+
+
+def reference_topology_id(t):
+    def walk(node):
+        if node.is_leaf:
+            return node.name or ""
+        return "(" + ",".join(sorted(walk(ch) for ch in node.children)) + ")"
+
+    return walk(t.root)
+
+
+@st.composite
+def newick_strings(draw):
+    """A random Newick tree on 2-40 uniquely named leaves: multifurcations,
+    named and unnamed internal nodes, tied and zero lengths, and a root
+    length present or absent."""
+    n = draw(st.integers(2, 40))
+    label = st.text("abcXYZ019_", min_size=1, max_size=3)
+    names = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    length = st.one_of(
+        st.floats(0.0, 10.0), st.integers(0, 3).map(float)
+    ).map(lambda x: f":{x!r}")
+    clades = [name + draw(length) for name in names]
+    while len(clades) > 1:
+        k = draw(st.integers(2, min(4, len(clades))))
+        i = draw(st.integers(0, len(clades) - k))
+        inner = draw(st.one_of(st.just(""), label))
+        clades[i : i + k] = [f"({','.join(clades[i : i + k])}){inner}{draw(length)}"]
+    root = clades[0]
+    if draw(st.booleans()):
+        root = root[: root.rindex(":")]
+    return root + ";"
 
 
 class TestParsing:
@@ -264,3 +372,30 @@ class TestReconstruction:
         assert topology_id(a) == topology_id(b)
         c = parse_newick("((a:1,c:1):1,b:2);")
         assert topology_id(a) != topology_id(c)
+
+
+class TestPostorderWalks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(newick_strings())
+    def test_match_recursive_references(self, text):
+        t = parse_newick(text)
+        assert t.leaf_names() == reference_leaf_names(t)
+        assert serialize_newick(t) == reference_serialize_newick(t)
+        assert topology_id(t) == reference_topology_id(t)
+        assert is_equidistant(t) == reference_is_equidistant(t)
+        assert cophenetic(t).values == reference_cophenetic_values(t)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # leaf k joins the caterpillar at height (k - 1) / (n - 1), k >= 2
+        n = sys.getrecursionlimit() + 100
+        want = 2.0 * np.triu_indices(n, 1)[1] / (n - 1)
+        u = DissimilarityMap(n, tuple(want.tolist()), tuple(_leaf_names(n)))
+        t = _build_tree(u)
+        text = serialize_newick(t)
+        assert text.startswith("(" * (n - 1) + "t0001:")
+        assert topology_id(t).count("(") == n - 1
+        ok, height = is_equidistant(t)
+        assert ok and height == pytest.approx(1.0, abs=1e-12)
+        again = cophenetic(t)
+        assert again.leaf_names == u.leaf_names
+        assert np.max(np.abs(again.as_array() - want)) < 1e-12
