@@ -37,13 +37,7 @@ from .pca import (
     pca_coordinates,
     pca_objective,
 )
-from .solver import (
-    DescentConfig,
-    LinearProgram,
-    Solution,
-    minimize_convex,
-    solve_lp,
-)
+from .solver import LinearProgram, Solution, minimize_convex, solve_lp
 from .svm import (
     LabeledSample,
     NotSeparableError,

@@ -111,16 +111,33 @@ def parse_vector(text: str) -> list[float]:
     return vec
 
 
+def _not_utf8(path: str) -> CliError:
+    """The parse error naming the first line of path that is not UTF-8.  A
+    multibyte character never contains a newline byte, so decoding the raw
+    lines one by one fails on the line where decoding the file failed."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return CliError(f"{path}:{lineno}: not UTF-8 text (byte 0x{line[exc.start]:02x})",
+                                EXIT_PARSE)
+    return CliError(f"{path}: not UTF-8 text", EXIT_PARSE)  # the file changed meanwhile
+
+
 def read_points(path: str, header: bool) -> np.ndarray:
     """The (n, e) float64 matrix of a CSV file's data rows; blank lines are
     skipped, and a bad cell or row is reported as path:line."""
     rows = []
     linenos = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if row and not (header and lineno == 1):
-                rows.append(row)
-                linenos.append(lineno)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if row and not (header and lineno == 1):
+                    rows.append(row)
+                    linenos.append(lineno)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not rows:
         raise CliError(f"{path}: no data rows", EXIT_PARSE)
     try:
@@ -196,22 +213,18 @@ def _location(args, command):
         res = fermat_weber(pts) if command == "fw" else frechet_mean(pts)
     except (RuntimeError, ValueError) as exc:
         raise CliError(str(exc), EXIT_SOLVER)
-    diagnostics = dict(res.diagnostics)
     if args.check_ultrametric is not None:
-        n = args.check_ultrametric
-        if res.point.dim != n * (n - 1) // 2:
-            raise CliError(
-                f"dimension {res.point.dim} is not C({n},2)", EXIT_DIMENSION
-            )
-        closure = check_ultrametric_closure(res, n, tol=args.tol)
-        diagnostics["ultrametric_closure"] = res.diagnostics["ultrametric_closure"]
-        diagnostics["closure"] = bool(closure)
+        try:
+            closure = check_ultrametric_closure(res, args.check_ultrametric, tol=args.tol)
+        except ValueError as exc:  # the dimension is not C(N, 2)
+            raise CliError(str(exc), EXIT_DIMENSION)
+        res.diagnostics["closure"] = bool(closure)
     result = {
         "point": list(res.point.coords),
         "objective": res.objective,
         "method": res.method,
     }
-    return emit(command, result, diagnostics, quiet=args.quiet)
+    return emit(command, result, res.diagnostics, quiet=args.quiet)
 
 
 def cmd_pca(args):
@@ -285,8 +298,11 @@ def cmd_svm(args):
 
 
 def _read_newick_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     trees = []
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -503,9 +519,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         emit(args.command, {"message": str(exc)}, status="error", quiet=False)
         return exc.code
-    except (NewickError, OSError, UnicodeDecodeError) as exc:
-        # malformed Newick, an unreadable or non-UTF-8 input file, or an
-        # unwritable --out, --out-prefix or --model-out
+    except (NewickError, OSError) as exc:
+        # malformed Newick, an unreadable input file, or an unwritable
+        # --out, --out-prefix or --model-out
         emit(args.command, {"message": str(exc)}, status="error", quiet=False)
         return EXIT_PARSE
     except RecursionError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +33,11 @@ MAX_CYCLES = 60
 CYCLE_TOL = 1e-10
 SPAN = 4.0
 
+# LDA local search: the lattice resolution of each candidate's inner
+# minima, and the number of trial moves
+LDA_GRID = 8
+LDA_MAX_ITERS = 120
+
 
 @dataclass
 class LdaCandidate:
@@ -50,12 +55,6 @@ class RegressionModel:
     beta: tuple[float, ...]  # (intercept, slope shifts)
     residual_sum: float
     experimental: bool = EXPERIMENTAL
-
-
-@dataclass
-class LdaConfig:
-    grid: int = 8
-    max_iters: int = 120
 
 
 def trop_predict(beta: Sequence[float], x: Sequence[float]) -> float:
@@ -188,12 +187,10 @@ def fit_lda(
     S1: Sequence[TropicalPoint],
     S2: Sequence[TropicalPoint],
     seed: int = 0,
-    config: Optional[LdaConfig] = None,
 ) -> LdaCandidate:
     """Local search over 2-vertex polytopes seeded at the class FW points."""
     if not S1 or not S2:
         raise ValueError("both samples must be nonempty")
-    cfg = config or LdaConfig()
     rng = np.random.default_rng(seed)
     X1, X2 = _sample_arrays(S1), _sample_arrays(S2)
     v1 = fermat_weber(S1).point.as_array()
@@ -203,11 +200,11 @@ def fit_lda(
     scale = 0.1 * max(float(np.ptp(np.vstack([X1, X2]))), 1.0)
 
     def evaluate(verts):  # the polytope is built for the winner only
-        return _lda(np.array([v - v[0] for v in verts]), X1, X2, cfg.grid)
+        return _lda(np.array([v - v[0] for v in verts]), X1, X2, LDA_GRID)
 
     verts = [v1.copy(), v2.copy()]
     best = evaluate(verts)
-    for _ in range(cfg.max_iters):
+    for _ in range(LDA_MAX_ITERS):
         which = int(rng.integers(0, 2))
         coord = int(rng.integers(0, len(v1)))
         delta = float(rng.choice([-scale, scale]))

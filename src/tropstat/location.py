@@ -16,13 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import TropicalPoint, _distances, _project, _sample_arrays, canonicalize
-from .solver import (
-    MIN,
-    OPTIMAL,
-    LinearProgram,
-    minimize_convex,
-    solve_lp,
-)
+from .solver import OPTIMAL, LinearProgram, minimize_convex, solve_lp
 from .treeio import _CUBE_BLOCK, _leaves_for, three_point_check
 
 FW_LP = "FW_LP"
@@ -75,7 +69,7 @@ def _fw_lp(V: np.ndarray) -> LinearProgram:
     rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point])])
     rhs = np.concatenate([V.ravel(), -V.ravel()])
     objective = np.concatenate([np.zeros(e), np.ones(s), -np.ones(s)])
-    return LinearProgram(MIN, objective, rows, rhs)
+    return LinearProgram(objective, rows, rhs, n_free=e + 2 * s)
 
 
 def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:

@@ -1,9 +1,11 @@
 """Deterministic dense simplex LP solver and a convex piecewise-smooth minimizer.
 
-The simplex converts to standard form (free variables split into positive
-and negative parts, bounds turned into shifts or rows), runs a two-phase
-method, and uses Bland's pivoting rule throughout, so results are
-deterministic and optima are vertex solutions of the lifted polyhedron.
+The simplex solves one LP shape, the one every tropstat LP has: minimize
+over <= rows, with some variables free and the rest nonnegative.  It
+splits each free variable into positive and negative parts, adds a slack
+per row, runs a two-phase method, and uses Bland's pivoting rule
+throughout, so results are deterministic and optima are vertex solutions
+of the lifted polyhedron.
 
 The minimizer runs a shrinking-step subgradient descent from several
 starts at once, calling a batched value-and-subgradient oracle once per
@@ -18,9 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-MIN = "min"
-MAX = "max"
-
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
@@ -31,57 +30,45 @@ FEAS_TOL = 1e-8
 
 @dataclass
 class LinearProgram:
-    """Dense LP in scipy.optimize.linprog's shapes: optimize objective . x
-    subject to A_ub @ x <= b_ub and A_eq @ x == b_eq.
+    """Dense LP: minimize objective . x subject to A_ub @ x <= b_ub, with
+    x[:n_free] free and x[n_free:] >= 0.
 
-    A greater-or-equal row is written as a negated A_ub row.  bounds
-    holds one (lower, upper) pair per variable; None means unbounded on
-    that side.  Variables default to free.
+    A greater-or-equal row is written as a negated A_ub row, a maximum as
+    the minimum of the negated objective.
     """
 
-    sense: str
     objective: Sequence[float]
     A_ub: np.ndarray
     b_ub: np.ndarray
-    A_eq: Optional[np.ndarray] = None
-    b_eq: Optional[np.ndarray] = None
-    bounds: Optional[list[tuple[Optional[float], Optional[float]]]] = None
+    n_free: int
 
     def n_vars(self) -> int:
         return len(self.objective)
 
     @property
     def constraints(self) -> np.ndarray:
-        """Every row, A_ub then A_eq.  perfbench/tracer.py sizes each solve
-        as len(lp.constraints) * lp.n_vars(), so the name stays."""
+        """The rows A_ub.  perfbench/tracer.py sizes each solve as
+        len(lp.constraints) * lp.n_vars(), so the name stays."""
         return self.validate()[0]
 
-    def validate(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Check the LP; return its rows (A_ub, then A_eq) and right-hand
-        sides as float arrays, and the number of A_ub rows."""
-        if self.sense not in (MIN, MAX):
-            raise ValueError(f"bad sense {self.sense!r}")
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check the LP; return A_ub and b_ub as float arrays."""
         n = self.n_vars()
         if n == 0:
             raise ValueError("LP has no variables")
-        blocks = []
-        for A, b in ((self.A_ub, self.b_ub), (self.A_eq, self.b_eq)):
-            A = np.asarray(np.zeros((0, n)) if A is None else A, dtype=float)
-            b = np.asarray([] if b is None else b, dtype=float)
-            if A.ndim != 2 or A.shape[1] != n:
-                raise ValueError("constraint row length mismatch")
-            if b.shape != (len(A),):
-                raise ValueError("rhs length mismatch")
-            blocks += [A, b]
-        A_ub, b_ub, A_eq, b_eq = blocks
-        R, rhs = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
-        if not (np.isfinite(self.objective).all() and np.isfinite(R).all()):
+        if not 0 <= self.n_free <= n:
+            raise ValueError(f"n_free {self.n_free} is not in 0..{n}")
+        A = np.asarray(self.A_ub, dtype=float)
+        b = np.asarray(self.b_ub, dtype=float)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise ValueError("constraint row length mismatch")
+        if b.shape != (len(A),):
+            raise ValueError("rhs length mismatch")
+        if not (np.isfinite(self.objective).all() and np.isfinite(A).all()):
             raise ValueError("objective and row coefficients must be finite")
-        if not np.isfinite(rhs).all():
+        if not np.isfinite(b).all():
             raise ValueError("rhs must be finite")
-        if self.bounds is not None and len(self.bounds) != n:
-            raise ValueError("bounds length mismatch")
-        return R, rhs, len(A_ub)
+        return A, b
 
 
 @dataclass
@@ -93,43 +80,22 @@ class Solution:
 
 def solve_lp(lp: LinearProgram) -> Solution:
     """Two-phase dense simplex with Bland's rule (deterministic)."""
-    R, rhs, n_ub = lp.validate()
-    n = lp.n_vars()
+    R, rhs = lp.validate()
+    n, n_free = lp.n_vars(), lp.n_free
 
-    # Rewrite the variables over nonnegative columns p as x = off + M @ p:
-    #   free        -> x = p - m            (two columns)
-    #   lo <= x     -> x = lo + p           (shift)
-    #   x <= hi     -> x = hi - p           (flip)
-    #   lo<=x<=hi   -> x = lo + p, row p <= hi - lo
-    off = np.zeros(n)
-    cols = []  # (variable, sign) per column
-    box = []  # (column, hi - lo) per boxed variable
-    for j, (lo, hi) in enumerate(lp.bounds or [(None, None)] * n):
-        if lo is None and hi is None:
-            cols += [(j, 1.0), (j, -1.0)]
-            continue
-        if lo is not None and hi is not None:
-            if hi < lo:
-                return Solution(INFEASIBLE, None, None)
-            box.append((len(cols), float(hi) - float(lo)))
-        off[j] = lo if lo is not None else hi
-        cols.append((j, 1.0 if lo is not None else -1.0))
-    ncols = len(cols)
+    # x = M @ p over nonnegative columns p: free x_j = p_2j - p_2j+1, then
+    # one column per nonnegative variable.
+    ncols = n + n_free
     M = np.zeros((n, ncols))
-    for k, (j, sign) in enumerate(cols):
-        M[j, k] = sign
+    M[:n_free, : 2 * n_free] = np.kron(np.eye(n_free), [1.0, -1.0])
+    M[n_free:, 2 * n_free :] = np.eye(n - n_free)
 
-    m = len(R) + len(box)
+    m = len(R)
     c = np.asarray(lp.objective, dtype=float) @ M
-    if lp.sense == MAX:
-        c = -c
 
-    # Equality form: a +1 slack column for each A_ub and box row, none for
-    # the A_eq rows; then make rhs nonnegative.
-    slack = np.ones(m)
-    slack[n_ub : len(R)] = 0.0
-    A = np.hstack([np.vstack([R @ M, np.eye(ncols)[[k for k, _ in box]]]), np.diag(slack)])
-    b = np.concatenate([rhs - R @ off, [ub for _, ub in box]])
+    # Equality form: a +1 slack column per row; then make rhs nonnegative.
+    A = np.hstack([R @ M, np.eye(m)])
+    b = rhs.copy()
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
@@ -177,7 +143,7 @@ def solve_lp(lp: LinearProgram) -> Solution:
     basis = np.array(basis, dtype=int)
     basic = basis < total
     xcols[basis[basic]] = T[basic, -1]
-    x = off + M @ xcols[:ncols]
+    x = M @ xcols[:ncols] + 0.0  # + 0.0 turns a -0.0 coordinate into 0.0
     return Solution(OPTIMAL, x, float(np.dot(np.asarray(lp.objective, dtype=float), x)))
 
 
@@ -229,22 +195,18 @@ def _simplex(T, basis, cost, k: int) -> str:
         _pivot(T, basis, leaving, entering)
 
 
-@dataclass
-class DescentConfig:
-    """Step schedule for the shrinking-step subgradient method."""
-
-    max_iters: int = 4000
-    tol: float = 1e-12
-    initial_step: float = 1.0
-    min_step: float = 1e-8
-    stall_limit: int = 6
+# Step schedule of minimize_convex's shrinking-step subgradient method
+MAX_ITERS = 4000
+DESCENT_TOL = 1e-12
+INITIAL_STEP = 1.0
+MIN_STEP = 1e-8
+STALL_LIMIT = 6
 
 
 def minimize_convex(
     f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     dim: int,
     starts: Sequence[Sequence[float]],
-    config: Optional[DescentConfig] = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize a finite convex function given a batched value-and-subgradient
     oracle.
@@ -257,12 +219,11 @@ def minimize_convex(
     shrinking step length, tracking the best point seen, so the reported
     value is monotone across iterations.  The starts advance in lockstep,
     one oracle call per iteration on the starts still running; a start
-    stops when its step falls below min_step, its subgradient is zero or
-    it has run max_iters iterations.  Returns the best point and value of
+    stops when its step falls below MIN_STEP, its subgradient is zero or
+    it has run MAX_ITERS iterations.  Returns the best point and value of
     the first start whose best value is smallest.  Deterministic given the
-    starts and config.
+    starts.
     """
-    cfg = config or DescentConfig()
     Z = np.array(starts, dtype=float, ndmin=2)
     if Z.shape[1:] != (dim,):
         raise ValueError("start point dimension mismatch")
@@ -271,18 +232,18 @@ def minimize_convex(
     # point reuses the subgradient recorded there.
     val, G = _eval(f, Z)
     rows, best_Z, best_val, best_G = np.arange(len(Z)), Z.copy(), val, G.copy()
-    step, stall = np.full(len(Z), cfg.initial_step), np.zeros(len(Z), dtype=int)
+    step, stall = np.full(len(Z), INITIAL_STEP), np.zeros(len(Z), dtype=int)
     out_Z, out_val = np.empty_like(Z), np.empty_like(val)
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         if it:
             val, G = _eval(f, Z)
-        better = val < best_val - cfg.tol
+        better = val < best_val - DESCENT_TOL
         best_val = np.where(better, val, best_val)
         best_Z[better], best_G[better] = Z[better], G[better]
         stall = np.where(better, 0, stall + 1)
-        halve = ~better & (stall >= cfg.stall_limit)
+        halve = ~better & (stall >= STALL_LIMIT)
         step[halve] *= 0.5
-        done = halve & (step < cfg.min_step)
+        done = halve & (step < MIN_STEP)
         reset = halve & ~done
         Z[reset], G[reset], stall[reset] = best_Z[reset], best_G[reset], 0
         # sqrt of a stacked (1, dim) @ (dim, 1) product rounds like

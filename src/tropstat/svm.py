@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import TropicalHyperplane, TropicalPoint, _sample_arrays, canonicalize
-from .solver import MAX, OPTIMAL, LinearProgram, solve_lp
+from .solver import OPTIMAL, LinearProgram, solve_lp
 
 HARD = "HARD"
 SOFT = "SOFT"
@@ -161,15 +161,17 @@ def _margin_bounds(X: np.ndarray, labels, K: np.ndarray,
 def _svm_lp(
     X: np.ndarray, labels, asg: SectorAssignment, C: Optional[float] = None
 ) -> LinearProgram:
-    """The separation LP of one assignment: max z, or z - C * total slack.
+    """The separation LP of one assignment: max z, or z - C * total slack,
+    as the minimum of its negation.
 
-    Variables are omega_0..omega_{e-1} and z, then (soft mode) one slack
-    per row.  Each point with pair (i, j) gives e rows, all of the form
-    omega_plus - omega_minus <= x_minus - x_plus: the margin row (plus j,
-    minus i, + z), the sector row (plus j, minus i), then one row per
-    other coordinate l (plus l, minus j).  Soft mode subtracts the row's
-    own slack, ordered alpha (margin rows), beta (sector rows), gamma.
-    X is the (n, e) sample matrix, one label per row.
+    Variables are omega_0..omega_{e-1} and z, free, then (soft mode) one
+    nonnegative slack per row.  Each point with pair (i, j) gives e rows,
+    all of the form omega_plus - omega_minus <= x_minus - x_plus: the
+    margin row (plus j, minus i, + z), the sector row (plus j, minus i),
+    then one row per other coordinate l (plus l, minus j).  Soft mode
+    subtracts the row's own slack, ordered alpha (margin rows), beta
+    (sector rows), gamma.  X is the (n, e) sample matrix, one label per
+    row.
     """
     n, e = X.shape
     order = np.array(
@@ -186,17 +188,15 @@ def _svm_lp(
     rows[np.arange(m), minus.ravel()] = -1.0
     rows[::e, e] = 1.0
     objective = np.zeros(e + 1)
-    objective[e] = 1.0
-    bounds = None
+    objective[e] = -1.0
     if C is not None:
         slack = np.column_stack([np.arange(n), n + np.arange(n),
                                  2 * n + np.arange(n * (e - 2)).reshape(n, e - 2)])
         S = np.zeros((m, m))
         S[np.arange(m), slack.ravel()] = -1.0
         rows = np.hstack([rows, S])
-        objective = np.concatenate([objective, np.full(m, -C)])
-        bounds = [(None, None)] * (e + 1) + [(0.0, None)] * m
-    return LinearProgram(MAX, objective, rows, rhs, bounds=bounds)
+        objective = np.concatenate([objective, np.full(m, C)])
+    return LinearProgram(objective, rows, rhs, n_free=e + 1)
 
 
 def _check_classes(sample: LabeledSample):
@@ -228,7 +228,7 @@ def _train(sample: LabeledSample, C: Optional[float], tol: float):
         sol = solve_lp(_svm_lp(X, sample.labels, asg, C))
         if sol.status != OPTIMAL:
             continue
-        obj = float(sol.objective_value)
+        obj = 0.0 - sol.objective_value  # the maximum; - would turn 0.0 into -0.0
         if best is None or obj > best[0] + tol:
             best = (obj, asg, sol.x)
     return best

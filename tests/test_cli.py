@@ -686,7 +686,10 @@ CONTRACT_CASES = [
     (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": "[1, 2]"}, 2),
     (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(ip=7)}, 2),
     (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(jq=-1)}, 2),
+    (["tree", "newick2ultra", "@t"], {"t": TREES.encode() + b"((\xff:1,b:1):1,c:2);\n"}, 2),
 ]
+NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
+            if any(isinstance(content, bytes) for content in files.values())]
 
 
 def with_contract_examples(test):
@@ -703,6 +706,13 @@ class TestContractFuzz:
         env = json.loads(out.splitlines()[-1])
         jsonschema.validate(env, schema)
         assert env["status"] == "error"
+
+    @pytest.mark.parametrize("argv, files", NOT_UTF8)
+    def test_not_utf8_names_file_and_line(self, tmp_path, argv, files):
+        _, out = run_in(tmp_path, argv, files)
+        (name,) = files
+        message = json.loads(out.splitlines()[-1])["result"]["message"]
+        assert message == f"{tmp_path / name}:2: not UTF-8 text (byte 0xff)"
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @with_contract_examples

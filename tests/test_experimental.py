@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from tropstat import experimental
 from tropstat.experimental import (
-    LdaConfig,
     fit_lda,
     fit_regression,
     lda_objective,
@@ -53,7 +53,7 @@ def reference_lda(w, S1, S2, grid):
     return mu1.coords, mu2.coords, s1, s2, reference_distance(mu1, mu2) - s1 - s2
 
 
-def reference_fit_lda(S1, S2, seed, cfg):
+def reference_fit_lda(S1, S2, seed, grid, max_iters):
     """fit_lda over reference_lda, building a polytope per trial."""
     rng = np.random.default_rng(seed)
     v1 = fermat_weber(S1).point.as_array()
@@ -65,11 +65,11 @@ def reference_fit_lda(S1, S2, seed, cfg):
 
     def evaluate(a, b):
         w = TropicalPolytope((canonicalize(a), canonicalize(b)))
-        return reference_lda(w, S1, S2, cfg.grid) + (w.matrix().tolist(),)
+        return reference_lda(w, S1, S2, grid) + (w.matrix().tolist(),)
 
     best = evaluate(v1, v2)
     verts = [v1.copy(), v2.copy()]
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         which = int(rng.integers(0, 2))
         coord = int(rng.integers(0, len(v1)))
         delta = float(rng.choice([-scale, scale]))
@@ -79,6 +79,12 @@ def reference_fit_lda(S1, S2, seed, cfg):
         if cand[4] > best[4] + 1e-12:
             best, verts = cand, trial
     return best
+
+
+def shorten_lda(monkeypatch, grid, max_iters):
+    """Set fit_lda's lattice resolution and number of trial moves."""
+    monkeypatch.setattr(experimental, "LDA_GRID", grid)
+    monkeypatch.setattr(experimental, "LDA_MAX_ITERS", max_iters)
 
 
 def candidate_tuple(c):
@@ -142,9 +148,10 @@ class TestLda:
         )
         assert cand.experimental is True
 
-    def test_identical_classes_nonpositive(self):
+    def test_identical_classes_nonpositive(self, monkeypatch):
+        shorten_lda(monkeypatch, 4, 10)
         S = ultrametric_points(4, 3, 4)
-        cand = fit_lda(S, S, seed=0, config=LdaConfig(grid=4, max_iters=10))
+        cand = fit_lda(S, S, seed=0)
         assert cand.objective <= 1e-9
 
     def test_nested_lattice_refinement_never_hurts(self):
@@ -157,12 +164,12 @@ class TestLda:
         assert fine.s1 <= coarse.s1 + 1e-9
         assert fine.s2 <= coarse.s2 + 1e-9
 
-    def test_seeded_determinism(self):
+    def test_seeded_determinism(self, monkeypatch):
+        shorten_lda(monkeypatch, 4, 15)
         S1 = ultrametric_points(4, 6, 3)
         S2 = ultrametric_points(4, 7, 3)
-        cfg = LdaConfig(grid=4, max_iters=15)
-        a = fit_lda(S1, S2, seed=9, config=cfg)
-        b = fit_lda(S1, S2, seed=9, config=cfg)
+        a = fit_lda(S1, S2, seed=9)
+        b = fit_lda(S1, S2, seed=9)
         assert a.objective == b.objective
 
     @pytest.mark.parametrize("grid", [3, 8])
@@ -174,12 +181,12 @@ class TestLda:
                 assert candidate_tuple(cand) == reference_lda(w, S1, S2, grid)
                 assert cand.polytope is w
 
-    def test_fit_bit_for_bit(self):
-        cfg = LdaConfig(grid=4, max_iters=15)
+    def test_fit_bit_for_bit(self, monkeypatch):
+        shorten_lda(monkeypatch, 4, 15)
         for k, S in enumerate(seeded_samples(5, 3)):
             half = len(S) // 2
-            cand = fit_lda(S[:half], S[half:], seed=k, config=cfg)
-            ref = reference_fit_lda(S[:half], S[half:], k, cfg)
+            cand = fit_lda(S[:half], S[half:], seed=k)
+            ref = reference_fit_lda(S[:half], S[half:], k, 4, 15)
             assert candidate_tuple(cand) == ref[:5]
             assert cand.polytope.matrix().tolist() == ref[5]
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from tropstat import (
     TropicalPoint,
@@ -28,7 +29,6 @@ from conftest import (
 def highs_fw_optimum(sample) -> float:
     """FW optimum from scipy's HiGHS on the pairwise formulation:
     minimize sum d_i subject to y_j - y_k - d_i <= v_ij - v_ik."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
     V = np.array([p.coords for p in sample])
     s, e = V.shape
     rows, rhs = [], []

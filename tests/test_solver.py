@@ -1,4 +1,5 @@
-"""Simplex solver: exact rational oracle, scipy cross-checks, determinism."""
+"""Simplex solver: exact rational oracle, scipy cross-checks, the general
+solver it replaced, determinism."""
 
 import warnings
 from fractions import Fraction
@@ -6,10 +7,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize as scipy_opt
 
 from conftest import lattice_points_3d, ultrametric_points
 from tropstat import (
-    DescentConfig,
     LinearProgram,
     SimConfig,
     TropicalPoint,
@@ -18,41 +19,38 @@ from tropstat import (
     make_two_class_sample,
     minimize_convex,
     solve_lp,
+    solver,
 )
-from tropstat.solver import INFEASIBLE, MAX, MIN, OPTIMAL, UNBOUNDED, _pivot, _simplex
+from tropstat.solver import (
+    FEAS_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    PIVOT_TOL,
+    UNBOUNDED,
+    Solution,
+    _pivot,
+    _simplex,
+)
 from tropstat.svm import SectorAssignment, _assignment_array, _svm_lp
-
-scipy_opt = pytest.importorskip("scipy.optimize")
 
 
 def exact_lp_optimum(lp: LinearProgram):
     """Exact optimum by enumerating basic solutions over the rationals.
 
     Converts to the form min c.x, A x <= b with x free by treating every
-    A_ub row, both directions of every A_eq row, and every finite bound as
-    a row, then intersects all n-subsets of rows.  Exponential; only for
-    tiny LPs.
+    A_ub row and the sign of every nonnegative variable as a row, then
+    intersects all n-subsets of rows.  Exponential; only for tiny LPs.
     """
     n = lp.n_vars()
-    sign = 1 if lp.sense == MIN else -1
-    c = [Fraction(v).limit_denominator(10**9) * sign for v in lp.objective]
+    c = [Fraction(v).limit_denominator(10**9) for v in lp.objective]
     rows = []
-    for A, b, both in ((lp.A_ub, lp.b_ub, False), (lp.A_eq, lp.b_eq, True)):
-        for row, rhs in zip(A.tolist(), b.tolist()):
-            r = [Fraction(v).limit_denominator(10**9) for v in row]
-            q = Fraction(rhs).limit_denominator(10**9)
-            rows.append((r, q))
-            if both:
-                rows.append(([-v for v in r], -q))
-    for j, (lo, hi) in enumerate(lp.bounds or [(None, None)] * n):
-        if lo is not None:
-            r = [Fraction(0)] * n
-            r[j] = Fraction(-1)
-            rows.append((r, -Fraction(lo).limit_denominator(10**9)))
-        if hi is not None:
-            r = [Fraction(0)] * n
-            r[j] = Fraction(1)
-            rows.append((r, Fraction(hi).limit_denominator(10**9)))
+    for row, rhs in zip(lp.A_ub.tolist(), lp.b_ub.tolist()):
+        rows.append(([Fraction(v).limit_denominator(10**9) for v in row],
+                     Fraction(rhs).limit_denominator(10**9)))
+    for j in range(lp.n_free, n):
+        r = [Fraction(0)] * n
+        r[j] = Fraction(-1)
+        rows.append((r, Fraction(0)))
 
     def feasible(x):
         return all(sum(a * v for a, v in zip(r, x)) <= b for r, b in rows)
@@ -88,56 +86,49 @@ def exact_lp_optimum(lp: LinearProgram):
             best = val
     if best is None:
         return None
-    return float(best) * sign
+    return float(best)
 
 
 def random_lp(rng, n, m, with_bounds=True):
-    """m random rows: 60 % "<=", 30 % ">=" (negated into A_ub), 10 % "="."""
-    ub, eq = [], []
+    """m random relations over n variables: 60 % "<=", 30 % ">=" (a negated
+    row), 10 % "=" (two opposite rows).  with_bounds: a random number of
+    leading variables is free and the rest nonnegative, and each variable
+    may get a lower bound, an upper bound or both, each written as a row."""
+    rows = []
     for _ in range(m):
         coeffs = rng.integers(-4, 5, size=n).astype(float)
         rel = rng.choice(["<=", ">=", "="], p=[0.6, 0.3, 0.1])
         rhs = float(rng.integers(-6, 7))
         if rel == "=":
-            eq.append((coeffs, rhs))
+            rows += [(coeffs, rhs), (-coeffs, -rhs)]
         else:
             sign = 1.0 if rel == "<=" else -1.0
-            ub.append((sign * coeffs, sign * rhs))
-    bounds = None
+            rows.append((sign * coeffs, sign * rhs))
+    n_free = n
     if with_bounds:
-        bounds = []
-        for _ in range(n):
+        n_free = int(rng.integers(0, n + 1))
+        for unit in np.eye(n):
             kind = rng.integers(0, 4)
-            lo = float(rng.integers(-5, 1)) if kind in (1, 3) else None
-            hi = float(rng.integers(0, 6)) if kind in (2, 3) else None
-            if lo is not None and hi is not None and hi < lo:
-                lo, hi = hi, lo
-            bounds.append((lo, hi))
-    obj = list(rng.integers(-3, 4, size=n).astype(float))
-    sense = MIN if rng.integers(0, 2) == 0 else MAX
-
-    def block(rows):
-        return (np.array([r for r, _ in rows], dtype=float).reshape(len(rows), n),
-                np.array([b for _, b in rows], dtype=float))
-
-    return LinearProgram(sense, obj, *block(ub), *block(eq), bounds)
+            if kind in (1, 3):
+                rows.append((-unit, -float(rng.integers(-5, 1))))
+            if kind in (2, 3):
+                rows.append((unit, float(rng.integers(0, 6))))
+    obj = rng.integers(-3, 4, size=n).astype(float)
+    A = np.array([r for r, _ in rows], dtype=float).reshape(len(rows), n)
+    return LinearProgram(obj, A, np.array([b for _, b in rows], dtype=float), n_free)
 
 
 def scipy_solve(lp: LinearProgram):
     n = lp.n_vars()
-    sign = 1.0 if lp.sense == MIN else -1.0
-    c = sign * np.asarray(lp.objective, dtype=float)
     res = scipy_opt.linprog(
-        c,
+        lp.objective,
         A_ub=lp.A_ub if len(lp.A_ub) else None,
         b_ub=lp.b_ub if len(lp.b_ub) else None,
-        A_eq=lp.A_eq if len(lp.A_eq) else None,
-        b_eq=lp.b_eq if len(lp.b_eq) else None,
-        bounds=lp.bounds or [(None, None)] * n,
+        bounds=[(None, None)] * lp.n_free + [(0.0, None)] * (n - lp.n_free),
         method="highs",
     )
     if res.status == 0:
-        return OPTIMAL, sign * res.fun
+        return OPTIMAL, res.fun
     if res.status == 2:
         return INFEASIBLE, None
     if res.status == 3:
@@ -145,51 +136,128 @@ def scipy_solve(lp: LinearProgram):
     raise RuntimeError(f"scipy status {res.status}")
 
 
+def reference_solve_lp(sense, objective, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None):
+    """solve_lp as it was when it took scipy.optimize.linprog's shapes:
+    "min" or "max", A_ub @ x <= b_ub, A_eq @ x == b_eq, and one (lo, hi)
+    bound per variable (None: unbounded on that side; all free if None)."""
+    n = len(objective)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    R = np.vstack([np.asarray(A_ub, dtype=float), A_eq])
+    rhs = np.concatenate([np.asarray(b_ub, dtype=float), b_eq])
+    n_ub = len(A_ub)
+
+    # Rewrite the variables over nonnegative columns p as x = off + M @ p:
+    #   free        -> x = p - m            (two columns)
+    #   lo <= x     -> x = lo + p           (shift)
+    #   x <= hi     -> x = hi - p           (flip)
+    #   lo<=x<=hi   -> x = lo + p, row p <= hi - lo
+    off = np.zeros(n)
+    cols = []  # (variable, sign) per column
+    box = []  # (column, hi - lo) per boxed variable
+    for j, (lo, hi) in enumerate(bounds or [(None, None)] * n):
+        if lo is None and hi is None:
+            cols += [(j, 1.0), (j, -1.0)]
+            continue
+        if lo is not None and hi is not None:
+            if hi < lo:
+                return Solution(INFEASIBLE, None, None)
+            box.append((len(cols), float(hi) - float(lo)))
+        off[j] = lo if lo is not None else hi
+        cols.append((j, 1.0 if lo is not None else -1.0))
+    ncols = len(cols)
+    M = np.zeros((n, ncols))
+    for k, (j, sign) in enumerate(cols):
+        M[j, k] = sign
+
+    m = len(R) + len(box)
+    c = np.asarray(objective, dtype=float) @ M
+    if sense == "max":
+        c = -c
+
+    # Equality form: a +1 slack column for each A_ub and box row, none for
+    # the A_eq rows; then make rhs nonnegative.
+    slack = np.ones(m)
+    slack[n_ub : len(R)] = 0.0
+    A = np.hstack([np.vstack([R @ M, np.eye(ncols)[[k for k, _ in box]]]), np.diag(slack)])
+    b = np.concatenate([rhs - R @ off, [ub for _, ub in box]])
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+
+    total = ncols + m
+    basis = [ncols + i if A[i, ncols + i] == 1.0 else -1 for i in range(m)]
+    need_art = [i for i in range(m) if basis[i] == -1]
+    n_art = len(need_art)
+    T = np.zeros((m, total + n_art + 1))
+    T[:, :total] = A
+    T[:, -1] = b
+    for k, i in enumerate(need_art):
+        T[i, total + k] = 1.0
+        basis[i] = total + k
+    ntot = total + n_art
+
+    if n_art:
+        cost = np.zeros(ntot)
+        cost[total:] = 1.0
+        status = _simplex(T, basis, cost, ntot)
+        if status == UNBOUNDED:
+            return Solution(INFEASIBLE, None, None)
+        if sum(cost[b] * T[i, -1] for i, b in enumerate(basis)) > FEAS_TOL:
+            return Solution(INFEASIBLE, None, None)
+        for i in range(m):
+            if basis[i] >= total:
+                nz = (np.abs(T[i, :total]) > PIVOT_TOL).nonzero()[0]
+                if nz.size == 0:
+                    T[i, :] = 0.0
+                else:
+                    _pivot(T, basis, i, int(nz[0]))
+        T[:, total:ntot] = 0.0
+
+    cost = np.zeros(ntot)
+    cost[:total] = np.concatenate([c, np.zeros(m)])
+    status = _simplex(T, basis, cost, total)
+    if status == UNBOUNDED:
+        return Solution(UNBOUNDED, None, None)
+
+    xcols = np.zeros(total)
+    basis = np.array(basis, dtype=int)
+    basic = basis < total
+    xcols[basis[basic]] = T[basic, -1]
+    x = off + M @ xcols[:ncols]
+    return Solution(OPTIMAL, x, float(np.dot(np.asarray(objective, dtype=float), x)))
+
+
 class TestBasics:
     def test_simple_min(self):
-        lp = LinearProgram(
-            MIN, [1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -2.0],
-            bounds=[(0.0, None), (0.0, None)],
-        )
+        lp = LinearProgram([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -2.0], n_free=0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_free_variables(self):
-        lp = LinearProgram(MIN, [1.0], [[-1.0]], [5.0])
+        lp = LinearProgram([1.0], [[-1.0]], [5.0], n_free=1)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
 
     def test_infeasible(self):
-        lp = LinearProgram(MIN, [1.0], [[-1.0], [1.0]], [-2.0, 1.0])
+        lp = LinearProgram([1.0], [[-1.0], [1.0]], [-2.0, 1.0], n_free=1)
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = LinearProgram(MAX, [1.0], [[-1.0]], [0.0])
+        lp = LinearProgram([-1.0], [[-1.0]], [0.0], n_free=1)
         assert solve_lp(lp).status == UNBOUNDED
 
-    def test_equality_rows(self):
-        lp = LinearProgram(
-            MAX, [1.0, 1.0], [[1.0, -1.0]], [1.0], [[1.0, 1.0]], [4.0],
-            [(0.0, None), (0.0, None)],
-        )
-        sol = solve_lp(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
-
-    def test_crossed_bounds_infeasible(self):
-        lp = LinearProgram(MIN, [1.0], np.zeros((0, 1)), np.zeros(0), bounds=[(2.0, 1.0)])
-        assert solve_lp(lp).status == INFEASIBLE
-
-    @pytest.mark.parametrize("sense, status", [(MIN, OPTIMAL), (MAX, UNBOUNDED)])
+    @pytest.mark.parametrize("sense, status", [("min", OPTIMAL), ("max", UNBOUNDED)])
     def test_no_rows(self, sense, status):
-        lp = LinearProgram(sense, [1.0, 0.0], np.zeros((0, 2)), np.zeros(0),
-                           bounds=[(1.0, None), (None, None)])
+        # x_0 free with no cost, x_1 >= 0: min x_1 is 0, max x_1 unbounded
+        sign = 1.0 if sense == "min" else -1.0
+        lp = LinearProgram([0.0, sign], np.zeros((0, 2)), np.zeros(0), n_free=1)
         sol = solve_lp(lp)
         assert sol.status == status
         if status == OPTIMAL:
-            assert sol.x.tolist() == [1.0, 0.0]
+            assert sol.x.tobytes() == np.array([0.0, 0.0]).tobytes()
 
     def test_solution_satisfies_constraints(self):
         rng = np.random.default_rng(17)
@@ -199,7 +267,7 @@ class TestBasics:
             if sol.status != OPTIMAL:
                 continue
             assert (lp.A_ub @ sol.x <= lp.b_ub + 1e-7).all()
-            assert (np.abs(lp.A_eq @ sol.x - lp.b_eq) <= 1e-7).all()
+            assert (sol.x[lp.n_free :] >= 0.0).all()
 
     @pytest.mark.parametrize(
         "objective, row",
@@ -207,22 +275,23 @@ class TestBasics:
          ([1.0, 1.0], [0.0, np.nan])],
     )
     def test_non_finite_coefficients_rejected(self, objective, row):
-        lp = LinearProgram(MIN, objective, [row], [1.0])
+        lp = LinearProgram(objective, [row], [1.0], n_free=2)
         with pytest.raises(ValueError, match="must be finite"):
             solve_lp(lp)
 
     @pytest.mark.parametrize(
         "args, message",
-        [(([[1.0]], [1.0]), "row length mismatch"),
-         (([[1.0, 0.0]], [1.0, 2.0]), "rhs length mismatch"),
-         (([[1.0, 0.0]], [1.0], [[1.0]], [1.0]), "row length mismatch"),
-         (([[1.0, 0.0]], [1.0], [[1.0, 1.0]], None), "rhs length mismatch"),
-         (([[1.0, 0.0]], [np.inf]), "rhs must be finite"),
-         (([[1.0, 0.0]], [1.0], None, None, [(0.0, None)]), "bounds length mismatch")],
+        [(([[1.0]], [1.0], 2), "row length mismatch"),
+         (([[1.0, 0.0]], [1.0, 2.0], 2), "rhs length mismatch"),
+         (([1.0, 0.0], [1.0], 2), "row length mismatch"),
+         (([[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0]], 2), "rhs length mismatch"),
+         (([[1.0, 0.0]], [np.inf], 2), "rhs must be finite"),
+         (([[1.0, 0.0]], [1.0], 3), "n_free 3 is not in 0..2"),
+         (([[1.0, 0.0]], [1.0], -1), "n_free -1 is not in 0..2")],
     )
     def test_bad_shapes_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
-            solve_lp(LinearProgram(MIN, [1.0, 1.0], *args))
+            solve_lp(LinearProgram([1.0, 1.0], *args))
 
     def test_non_finite_reduced_costs_raise(self):
         # red = [-1e308 - 1e308, 0] overflows before the first pivot, and
@@ -244,9 +313,10 @@ class TestBasics:
         with pytest.raises(RuntimeError, match="pivots"):
             solve_lp(_svm_lp(X, two.labels, asg, 1e100))
 
-    def test_constraints_counts_both_blocks(self):
-        lp = LinearProgram(MIN, [1.0, 1.0], [[1.0, 0.0]], [1.0], [[1.0, 1.0], [0.0, 1.0]], [2.0, 1.0])
-        assert len(lp.constraints) == 3
+    def test_constraints_are_the_rows(self):
+        # perfbench/tracer.py sizes a solve as len(lp.constraints) * lp.n_vars()
+        lp = LinearProgram([1.0, 1.0, 0.0], [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [1.0, 2.0], 1)
+        assert lp.constraints.tolist() == lp.A_ub and lp.n_vars() == 3
 
     def test_pivot_matches_row_by_row_reference(self):
         rng = np.random.default_rng(3)
@@ -310,6 +380,82 @@ class TestScipyCrossCheck:
             assert np.array_equal(a.x, b.x)
 
 
+def svm_sample(tie_step=None):
+    two = make_two_class_sample(
+        SimConfig(4, 1.0, 1, 2), SimConfig(4, 1.0, 101, 2), separation=1.0
+    )
+    X = np.array([u.values for u in two.ultrametrics])
+    if tie_step is not None:
+        X = np.round(X / tie_step) * tie_step
+    return X, two.labels
+
+
+class TestReferenceSolver:
+    """solve_lp against the general solver it replaced, bit for bit, on the
+    LPs that src/ builds."""
+
+    @staticmethod
+    def assert_same(lp, ref, sense):
+        """solve_lp(lp) against ref, the reference's solution of the same
+        LP in its old shape; returns the status."""
+        sol = solve_lp(lp)
+        assert sol.status == ref.status
+        if ref.status == OPTIMAL:
+            assert sol.x.tobytes() == ref.x.tobytes()
+            value = sol.objective_value if sense == "min" else 0.0 - sol.objective_value
+            assert np.float64(value).tobytes() == np.float64(ref.objective_value).tobytes()
+        return ref.status
+
+    @staticmethod
+    def reference_svm(X, labels, asg, C):
+        """The assignment LP as the reference took it: max z, or
+        z - C * total slack, over free omega and z and nonnegative slacks."""
+        lp = _svm_lp(X, labels, asg, C)
+        n, e = X.shape
+        if C is None:
+            return reference_solve_lp("max", np.eye(e + 1)[e], lp.A_ub, lp.b_ub)
+        objective = np.concatenate([np.eye(e + 1)[e], np.full(n * e, -C)])
+        bounds = [(None, None)] * (e + 1) + [(0.0, None)] * (n * e)
+        return reference_solve_lp("max", objective, lp.A_ub, lp.b_ub, bounds=bounds)
+
+    def test_fw_lps(self):
+        rng = np.random.default_rng(9)
+        samples = [[p.coords for p in ultrametric_points(n, seed, 2 + 3 * seed)]
+                   for n in (4, 5, 6) for seed in range(4)]
+        samples += [rng.normal(size=(s, e)) for s, e in [(1, 3), (3, 4), (6, 6), (9, 5)]]
+        for V in samples:
+            lp = location._fw_lp(np.array(V, dtype=float))
+            # every variable was free
+            ref = reference_solve_lp("min", lp.objective, lp.A_ub, lp.b_ub)
+            assert self.assert_same(lp, ref, "min") == OPTIMAL
+
+    @pytest.mark.parametrize("C", [None, 10.0])
+    @pytest.mark.parametrize("tie_step", [None, 0.25])
+    def test_svm_assignment_lps(self, C, tie_step):
+        X, labels = svm_sample(tie_step)
+        statuses = []
+        for row in _assignment_array(X.shape[1]).tolist():
+            asg = SectorAssignment(*row)
+            ref = self.reference_svm(X, labels, asg, C)
+            statuses.append(self.assert_same(_svm_lp(X, labels, asg, C), ref, "max"))
+        assert len(statuses) == 750 and OPTIMAL in statuses
+
+    def test_cycling_stops_at_the_same_pivot(self):
+        # the LP of test_cycling_soft_svm_lp_raises
+        two = make_two_class_sample(
+            SimConfig(4, 1.0, 2, 5), SimConfig(4, 1.0, 102, 5), separation=1.0
+        )
+        X = np.array([[float(f"{v:.12g}") for v in u.values] for u in two.ultrametrics])
+        asg = SectorAssignment(*_assignment_array(X.shape[1])[5].tolist())
+        messages = []
+        for solve in (lambda: solve_lp(_svm_lp(X, two.labels, asg, 1e100)),
+                      lambda: self.reference_svm(X, two.labels, asg, 1e100)):
+            with pytest.raises(RuntimeError) as info:
+                solve()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 class TestConvexMinimizer:
     def test_quadratic_bowl(self):
         def f(Z):
@@ -329,16 +475,14 @@ class TestConvexMinimizer:
         z, val = minimize_convex(f, 2, [[0.0, 0.0], [4.0, 4.0]])
         assert val < 1e-6
 
-    def test_best_of_multiple_starts(self):
+    def test_best_of_multiple_starts(self, monkeypatch):
         def f(Z):
             return np.abs(Z).sum(axis=1), np.sign(Z)
 
-        _, far = minimize_convex(
-            f, 1, [[100.0]], DescentConfig(max_iters=10, min_step=0.5)
-        )
-        _, near = minimize_convex(
-            f, 1, [[100.0], [0.5]], DescentConfig(max_iters=10, min_step=0.5)
-        )
+        monkeypatch.setattr(solver, "MAX_ITERS", 10)
+        monkeypatch.setattr(solver, "MIN_STEP", 0.5)
+        _, far = minimize_convex(f, 1, [[100.0]])
+        _, near = minimize_convex(f, 1, [[100.0], [0.5]])
         assert near <= far
 
     def test_rejects_non_finite(self):
@@ -349,20 +493,20 @@ class TestConvexMinimizer:
             minimize_convex(f, 1, [[0.0]])
 
 
-def reference_minimize_convex(f, dim, starts, config=None):
+def reference_minimize_convex(f, dim, starts):
     """The per-start loop minimize_convex ran before its starts advanced in
-    lockstep; f takes one point and returns its value and subgradient."""
-    cfg = config or DescentConfig()
+    lockstep, with the step schedule of solver's constants at call time;
+    f takes one point and returns its value and subgradient."""
     best_z = None
     best_val = np.inf
     for start in starts:
-        z, val = reference_descend(f, np.asarray(start, dtype=float), dim, cfg)
+        z, val = reference_descend(f, np.asarray(start, dtype=float), dim)
         if val < best_val:
             best_val, best_z = val, z
     return best_z, best_val
 
 
-def reference_descend(f, z0, dim, cfg):
+def reference_descend(f, z0, dim):
     def evaluate(z):
         val, g = f(z)
         if not np.isfinite(val):
@@ -374,17 +518,17 @@ def reference_descend(f, z0, dim, cfg):
     z = z0.copy()
     val, g = evaluate(z)
     best_val, best_z = val, z.copy()
-    step = cfg.initial_step
+    step = solver.INITIAL_STEP
     stall = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(solver.MAX_ITERS):
         val, g = evaluate(z)
-        if val < best_val - cfg.tol:
+        if val < best_val - solver.DESCENT_TOL:
             best_val, best_z, stall = val, z.copy(), 0
         else:
             stall += 1
-            if stall >= cfg.stall_limit:
+            if stall >= solver.STALL_LIMIT:
                 step *= 0.5
-                if step < cfg.min_step:
+                if step < solver.MIN_STEP:
                     break
                 z = best_z.copy()
                 stall = 0
@@ -454,7 +598,7 @@ class TestLockstepDescent:
         for _ in range(3):
             self.assert_frechet_matches([p.coords for p in lattice_points_3d(rng, int(rng.integers(2, 11)))])
         # a start ran all its iterations: the initial call, then one per later iteration
-        assert DescentConfig().max_iters in oracle_calls
+        assert solver.MAX_ITERS in oracle_calls
 
     def test_gaussian_samples(self):
         rng = np.random.default_rng(8)
@@ -493,12 +637,15 @@ class TestLockstepDescent:
         assert max(sizes) == 4 and sizes[:4] == [4, 4, 4, 1]  # s + 1 starts
 
     @pytest.mark.parametrize("config", [
-        DescentConfig(max_iters=0), DescentConfig(max_iters=30), DescentConfig(stall_limit=1),
-        DescentConfig(tol=-1e-3, max_iters=200), DescentConfig(initial_step=1e-9, tol=1.0),
-        DescentConfig(tol=0.0, min_step=1e-3),
+        {"MAX_ITERS": 0}, {"MAX_ITERS": 30}, {"STALL_LIMIT": 1},
+        {"DESCENT_TOL": -1e-3, "MAX_ITERS": 200}, {"INITIAL_STEP": 1e-9, "DESCENT_TOL": 1.0},
+        {"DESCENT_TOL": 0.0, "MIN_STEP": 1e-3},
     ])
-    def test_configs(self, config):
+    def test_configs(self, monkeypatch, config):
+        # the step schedule's constants, patched in solver for both loops;
         # the one-point oracle applied row by row isolates the loop
+        for name, value in config.items():
+            monkeypatch.setattr(solver, name, value)
         rng = np.random.default_rng(5)
         V = rng.normal(size=(8, 5))
         one = reference_frechet_oracle(V)
@@ -508,7 +655,7 @@ class TestLockstepDescent:
             return np.array(vals), np.array(G)
 
         starts = [row for row in V] + [np.median(V, axis=0)]
-        z, val = minimize_convex(batched, 5, starts, config)
-        z_ref, val_ref = reference_minimize_convex(one, 5, starts, config)
+        z, val = minimize_convex(batched, 5, starts)
+        z_ref, val_ref = reference_minimize_convex(one, 5, starts)
         assert np.array_equal(z, z_ref)
         assert val == val_ref

@@ -18,7 +18,7 @@ from tropstat import (
     train_soft,
 )
 from tropstat import svm
-from tropstat.solver import INFEASIBLE, MAX, OPTIMAL, LinearProgram, solve_lp
+from tropstat.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from tropstat.svm import (
     ROUND_TOL,
     SEP_TOL,
@@ -99,7 +99,7 @@ def reference_train(sample, solutions, tol=SEP_TOL):
     for asg, sol in zip(reference_assignments(sample.dim), solutions):
         if sol.status != OPTIMAL:
             continue
-        obj = float(sol.objective_value)
+        obj = 0.0 - sol.objective_value
         if best is None or obj > best[0] + tol:
             best = (obj, asg, sol.x)
     return best
@@ -109,7 +109,7 @@ def reference_hard_lp(sample, asg):
     """The row-by-row hard-margin builder that _svm_lp replaced."""
     e = sample.dim
     nvars = e + 1  # omega_0..omega_{e-1}, z
-    objective = [0.0] * e + [1.0]
+    objective = [0.0] * e + [-1.0]  # max z as min -z
     rows, rhs = [], []
     for p, label in zip(sample.points, sample.labels):
         xi = p.coords
@@ -133,7 +133,7 @@ def reference_hard_lp(sample, asg):
             row[j] -= 1.0
             rows.append(row)
             rhs.append(xi[j] - xi[l])  # other coordinates below j
-    return LinearProgram(MAX, objective, np.array(rows), np.array(rhs))
+    return LinearProgram(objective, np.array(rows), np.array(rhs), n_free=nvars)
 
 
 def reference_soft_lp(sample, asg, C):
@@ -145,7 +145,7 @@ def reference_soft_lp(sample, asg, C):
     alpha0 = e + 1
     beta0 = alpha0 + n
     gamma0 = beta0 + n
-    objective = [0.0] * e + [1.0] + [-C] * (2 * n + n_gamma)
+    objective = [0.0] * e + [-1.0] + [C] * (2 * n + n_gamma)  # min -(z - C * slack)
     rows, rhs = [], []
     g = gamma0
     for idx, (p, label) in enumerate(zip(sample.points, sample.labels)):
@@ -174,21 +174,17 @@ def reference_soft_lp(sample, asg, C):
             rows.append(row)
             rhs.append(xi[j] - xi[l])
             g += 1
-    bounds = [(None, None)] * (e + 1) + [(0.0, None)] * (2 * n + n_gamma)
-    return LinearProgram(MAX, objective, np.array(rows), np.array(rhs), bounds=bounds)
+    return LinearProgram(objective, np.array(rows), np.array(rhs), n_free=e + 1)
 
 
 def lp_bytes(lp):
-    """Every number of an LP, bit for bit, with its shapes and bounds."""
+    """Every number of an LP, bit for bit, with its shapes and free count."""
     return (
-        lp.sense,
         np.asarray(lp.objective, dtype=float).tobytes(),
         lp.A_ub.shape,
         lp.A_ub.tobytes(),
         lp.b_ub.tobytes(),
-        lp.A_eq,
-        lp.b_eq,
-        lp.bounds,
+        lp.n_free,
     )
 
 
@@ -255,7 +251,7 @@ class TestPruning:
         opt = [k for k, sol in enumerate(solutions) if sol.status == OPTIMAL]
         assert opt
         for k in opt:
-            assert U[k] >= solutions[k].objective_value - allowance
+            assert U[k] >= -solutions[k].objective_value - allowance
 
     @pytest.mark.parametrize("name", ["separable", "flipped", "criterion8", "tied"])
     def test_hard_bound_is_exact(self, name):
@@ -264,7 +260,7 @@ class TestPruning:
         for u, sol in zip(U, solutions):
             assert (u == -np.inf) == (sol.status == INFEASIBLE)
             if sol.status == OPTIMAL:
-                assert abs(u - sol.objective_value) <= 1e-12
+                assert abs(u + sol.objective_value) <= 1e-12
 
     @pytest.mark.parametrize("e", [3, 4, 6, 10])
     def test_assignment_order(self, e):
@@ -347,6 +343,13 @@ class TestSoftMargin:
         sample = separable_sample(3)
         model = train_soft(sample, C=5.0)
         assert all(v >= -1e-9 for v in model.slack_summary.values())
+
+    def test_zero_optimum_is_positive_zero(self):
+        # the classes touch, so the best objective is exactly 0; it is the
+        # negated minimum of the LP, and a plain negation would give -0.0
+        X = [(-1.0, 2.0, 0.0), (0.0, -1.0, -2.0), (0.0, 1.0, 0.0), (1.0, -1.0, 1.0)]
+        sample = LabeledSample(tuple(map(TropicalPoint, X)), (0, 0, 1, 1))
+        assert repr(train_soft(sample, C=10.0).objective) == "0.0"
 
 
 class TestClassify:
