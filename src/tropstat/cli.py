@@ -300,11 +300,11 @@ def cmd_svm(args):
 def _read_newick_lines(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     trees = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         try:
             trees.append(parse_newick(line))
         except NewickError as exc:
@@ -315,13 +315,13 @@ def _read_newick_lines(path):
 
 
 def _write_lines(lines, out):
-    """Write lines to the file out, or print them when out is not given."""
+    """Write lines to the file out, or to stdout when out is not given."""
+    text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write(text)
 
 
 def cmd_tree(args):
@@ -353,7 +353,7 @@ def cmd_tree(args):
 
     if args.action == "check":
         maps = [u for _, u in _read_maps(args)]
-        verdicts = [bool(three_point_check(u, tol=args.tol)) for u in maps]
+        verdicts = three_point_check([u.values for u in maps], tol=args.tol)
         result = {
             "all_ultrametric": all(verdicts),
             "verdicts": verdicts,

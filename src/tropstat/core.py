@@ -18,6 +18,9 @@ NEG_INF = float("-inf")
 
 #: absolute tolerance for point equality and "max attained twice" ties
 EQ_TOL = 1e-9
+#: elements in one block of a broadcast (rows, n, e) array; callers take their
+#: rows in blocks so that no (n, n, e) array is built
+_CUBE_BLOCK = 1 << 18
 
 
 def trop_add(a: float, b: float) -> float:

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TropicalPoint, _distances, _project, _sample_arrays, canonicalize
+from .core import _CUBE_BLOCK, TropicalPoint, _distances, _project, _sample_arrays, canonicalize
 from .solver import OPTIMAL, LinearProgram, minimize_convex, solve_lp
-from .treeio import _CUBE_BLOCK, _leaves_for, three_point_check
+from .treeio import _leaves_for, three_point_check
 
 FW_LP = "FW_LP"
 FRECHET_DESCENT = "FRECHET_DESCENT"
@@ -118,9 +118,7 @@ def _refine_to_ultrametric(V: np.ndarray, raw, opt: float):
         _leaves_for(V.shape[1])
     except ValueError:
         return None
-    if three_point_check(raw, tol=1e-9) or not all(
-        three_point_check(row, tol=1e-9) for row in V
-    ):
+    if three_point_check(raw, tol=1e-9) or not all(three_point_check(V, tol=1e-9)):
         return None
     z = _project(np.asarray(raw), V)[1]
     if _distances(z, V).sum() <= opt + 1e-7:
@@ -182,7 +180,7 @@ def check_ultrametric_closure(
     """Three-point condition on the solver's raw representative, also
     recorded in result.diagnostics["ultrametric_closure"]."""
     e = n_leaves * (n_leaves - 1) // 2
-    if result.point.dim != e:
+    if n_leaves < 3 or result.point.dim != e:
         raise ValueError(f"dimension {result.point.dim} is not C({n_leaves},2)")
     raw = result.diagnostics.get("raw_point", result.point.coords)
     ok = three_point_check(raw, tol=tol)

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _CUBE_BLOCK,
     TropicalPoint,
     TropicalPolytope,
     _combine,
@@ -21,7 +22,7 @@ from .core import (
     _project,
     _sample_arrays,
 )
-from .treeio import _CUBE_BLOCK, three_point_check
+from .treeio import three_point_check
 
 
 @dataclass
@@ -145,11 +146,10 @@ def check_ultrametric_cells(
     P: TropicalPolytope, trials: int, seed: int, tol: float = 1e-9
 ) -> bool:
     """Sampled check that tconv of ultrametric vertices stays ultrametric."""
-    for v in P.vertices:
-        if not three_point_check(v.coords, tol=tol):
-            raise ValueError("polytope vertex fails the three-point condition")
-    rng = np.random.default_rng(seed)
     D = P.matrix()
+    if not all(three_point_check(D, tol=tol)):
+        raise ValueError("polytope vertex fails the three-point condition")
+    rng = np.random.default_rng(seed)
     spread = max(float(_distances(D[:, None, :], D).max()), 1.0)
     lam = rng.uniform(-spread, spread, size=(trials, P.n_vertices))
-    return all(three_point_check(z, tol=tol) for z in _combine(lam, D))
+    return all(three_point_check(_combine(lam, D), tol=tol))

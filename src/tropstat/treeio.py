@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 STRUCT_TOL = 1e-9
-_CUBE_BLOCK = 1 << 18  # elements in one slab of three_point_check's cube
 
 
 class NewickError(ValueError):
@@ -253,40 +252,37 @@ def is_equidistant(t: PhyloTree, tol: float = STRUCT_TOL) -> tuple[bool, float]:
     return (height - min(depths)) <= tol, height
 
 
-def three_point_check(w, tol: float = STRUCT_TOL) -> bool:
+def three_point_check(w, tol: float = STRUCT_TOL) -> bool | list[bool]:
     """Max of every triple {w(i,j), w(i,k), w(j,k)} attained at least twice.
 
-    The triples form the n x n x n cube over the square matrix with a -inf
-    diagonal, so a triple with a repeated leaf has its max twice and passes.
-    The max is attained twice exactly when the middle value is within tol of
-    it.  The cube is taken in slabs of rows of i of at most _CUBE_BLOCK
-    elements, so memory stays O(n^2) for large n.
+    w is one map (a DissimilarityMap or pair vector), giving a bool, or a
+    (k, e) stack of pair vectors, giving a list of k bools.  A triple fails
+    exactly when its unique largest entry D_ij exceeds max(D_ik, D_jk) by
+    more than tol, so with D the square matrix with a -inf diagonal, w passes
+    exactly when M >= D - tol for M = min over k of max(D[:, k], D[k, :]);
+    the terms k = i, k = j and the diagonal change no verdict.  One sweep
+    over k builds M in O(n^2) memory per map, O(k n^2) for a stack.
     """
     D = _square(w.values if isinstance(w, DissimilarityMap) else w, -np.inf)
-    n = len(D)
+    n = D.shape[-1]
     if n < 3:
         raise ValueError("three-point condition needs at least 3 leaves")
-    step = max(1, _CUBE_BLOCK // (n * n))
-    z = D[None, :, :]
-    for i in range(0, n, step):
-        x, y = D[i : i + step, :, None], D[i : i + step, None, :]
-        hi = np.maximum(x, y)
-        top = np.maximum(hi, z)
-        mid = np.maximum(np.minimum(x, y), np.minimum(hi, z))
-        if not (mid >= top - tol).all():
-            return False
-    return True
+    M, pair = np.full_like(D, np.inf), np.empty_like(D)
+    for k in range(n):
+        np.minimum(M, np.maximum(D[..., :, k, None], D[..., None, k, :], out=pair), out=M)
+    return (M >= D - tol).all(axis=(-2, -1)).tolist()
 
 
 def _square(vals, diagonal: float) -> np.ndarray:
-    """Symmetric n x n matrix of a pair vector, with a constant diagonal."""
+    """Symmetric n x n matrix of a pair vector, with a constant diagonal;
+    leading axes of vals are kept, so a (k, e) stack gives (k, n, n)."""
     vals = np.asarray(vals, dtype=float)
-    n = _leaves_for(len(vals))
-    D = np.full((n, n), diagonal)
+    n = _leaves_for(vals.shape[-1])
+    D = np.full(vals.shape[:-1] + (n, n), diagonal)
     leaf = np.arange(n)
     upper = leaf[:, None] < leaf  # row-major order is lexicographic pair order
-    D[upper] = vals
-    D.T[upper] = vals
+    D[..., upper] = vals
+    np.swapaxes(D, -1, -2)[..., upper] = vals
     return D
 
 

@@ -92,6 +92,13 @@ class TestExitCodes:
         assert code == 2
         assert ":2:" in envelope_of(out)["result"]["message"]
 
+    def test_newick_error_names_the_physical_line(self, capsys, tmp_path):
+        nw = tmp_path / "nw.txt"
+        nw.write_text("\n((a:1,b:1):1,c:2);\n((a:1,b:1):1,c:2;\n")
+        code, out = run(capsys, "tree", "newick2ultra", str(nw))
+        assert code == 2
+        assert f"{nw}:3:" in envelope_of(out)["result"]["message"]
+
     def test_dimension_error_is_3(self, capsys):
         code, _ = run(capsys, "metric", "0,1", "0,1,2")
         assert code == 3
@@ -400,7 +407,7 @@ class TestTreeCommands:
         assert env["result"]["all_ultrametric"] is True
         assert env["result"]["topology_count"] >= 1
 
-    def test_check_runs_one_three_point_check_per_row(
+    def test_check_runs_one_three_point_check_per_file(
         self, capsys, tmp_path, monkeypatch
     ):
         pts = tmp_path / "u4.csv"
@@ -423,7 +430,7 @@ class TestTreeCommands:
         code, out = run(capsys, "tree", "check", str(pts))
         env = envelope_of(out)
         assert code == 0
-        assert len(calls) == 40
+        assert len(calls) == 1
         assert env["result"]["verdicts"] == [True] * 40
         assert env["result"]["topology_count"] == len(topologies) > 1
 
@@ -687,6 +694,9 @@ CONTRACT_CASES = [
     (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(ip=7)}, 2),
     (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(jq=-1)}, 2),
     (["tree", "newick2ultra", "@t"], {"t": TREES.encode() + b"((\xff:1,b:1):1,c:2);\n"}, 2),
+    # a leaf count under 3 whose C(N, 2) is the dimension, as C(-2, 2) = 3
+    # is; appended last so that the earlier cases keep their ids
+    (["fw", "@p", "--check-ultrametric", "-2"], {"p": POINTS}, 3),
 ]
 NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
             if any(isinstance(content, bytes) for content in files.values())]

@@ -171,6 +171,12 @@ class TestUltrametricClosure:
         with pytest.raises(ValueError):
             check_ultrametric_closure(res, 4)
 
+    def test_fewer_than_three_leaves_rejected(self):
+        # C(-2, 2) = (-2)(-3)/2 = 3 is the point's dimension
+        res = fermat_weber([TropicalPoint((0.0, 1.0, 2.0))])
+        with pytest.raises(ValueError, match="dimension"):
+            check_ultrametric_closure(res, -2)
+
 
 class TestFrechetMean:
     def test_single_point(self):

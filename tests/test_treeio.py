@@ -30,6 +30,7 @@ from conftest import (
     FIG_RIGHT_NEWICK,
     FIG_RIGHT_VECTOR,
     seeded_vectors,
+    tied_ultrametric,
 )
 
 
@@ -299,12 +300,38 @@ class TestThreePoint:
                     w, tol=tol
                 ), (w, tol)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, -1e-9])
+    def test_stack_matches_triple_loop_reference(self, tol):
+        rng = np.random.default_rng(12)
+        for n in range(3, 13):
+            e = n * (n - 1) // 2
+            ultra = [tied_ultrametric(n, rng) for _ in range(8)]
+            W = np.array(
+                [rng.integers(0, 4, size=e).astype(float) for _ in range(4)]
+                + [np.round(rng.uniform(0, 3, size=e), 1) for _ in range(4)]
+                + ultra
+                + [u + 1e-9 * rng.integers(-1, 2, size=e) for u in ultra]
+            )
+            want = [reference_three_point_check(w.tolist(), tol=tol) for w in W]
+            assert three_point_check(W, tol=tol) == want, (n, tol)
+            assert [three_point_check(w, tol=tol) for w in W] == want, (n, tol)
+            if tol >= 0:
+                assert True in want and False in want, (n, tol)
+
+    def test_caterpillar(self):
+        # leaf k joins the caterpillar at height (k - 1) / (n - 1), k >= 2
+        n = 300
+        want = 2.0 * np.triu_indices(n, 1)[1] / (n - 1)
+        assert three_point_check(want)
+        # u(1,3) = u(2,3) > u(1,2); raising u(1,3) leaves its maximum once
+        broken = want.copy()
+        broken[pair_index(1, 3, n)] += 0.1
+        assert not three_point_check(broken)
+        assert three_point_check(np.array([want, broken, want])) == [True, False, True]
+
     def test_blocked_cube(self):
-        # Enough leaves for several slabs; the only violating triple is the
-        # last three leaves, which only the last slab sees with all three.
+        # The only violating triple is the last three leaves.
         n = 80
-        step = max(1, treeio._CUBE_BLOCK // (n * n))
-        assert n > step and (n - 1) // step * step <= n - 3
         D = np.full((n, n), 10.0)
         D[: n - 3, : n - 3] = 4.0
         D[n - 3, n - 2] = D[n - 2, n - 3] = 1.0
