@@ -1,8 +1,8 @@
 """Fermat-Weber closure experiment on random ultrametric samples.
 
 For each trial: simulate a sample of equidistant trees, compute the
-Fermat-Weber point, check the three-point condition on the raw LP vertex
-and on the refined point, and measure the tropical distance from the FW
+Fermat-Weber point, check the three-point condition on the raw point
+recovered from the assignment problem and on the refined point, and measure the tropical distance from the FW
 point to the fitted principal polytope (the conjecture diagnostic; the
 distance is reported, never asserted).
 

@@ -1,8 +1,8 @@
 """Tropical Fermat-Weber points and Frechet means.
 
-The Fermat-Weber point is one optimal vertex of the location LP, or,
-when that vertex of an all-ultrametric sample is not ultrametric, its
-tropical projection onto the sample's tropical convex hull; the
+The Fermat-Weber point is recovered from an optimal assignment, the dual
+of the location LP, or, when that point of an all-ultrametric sample is
+not ultrametric, is its tropical projection onto the sample's hull; the
 Frechet mean is computed by direct convex minimization of the squared
 tropical distance sum with deterministic multi-start, all starts evaluated
 together by one batched oracle.
@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import _CUBE_BLOCK, TropicalPoint, _distances, _project, _sample_arrays, canonicalize
-from .solver import OPTIMAL, LinearProgram, minimize_convex, solve_lp
+from .solver import minimize_convex
 from .treeio import _leaves_for, three_point_check
 
 FW_LP = "FW_LP"
 FRECHET_DESCENT = "FRECHET_DESCENT"
+_BF_TOL = 1e-12  # Bellman-Ford stops when no label drops by this times max |v_ij|
 
 
 @dataclass
@@ -42,65 +43,84 @@ def frechet_objective(z: TropicalPoint, sample: Sequence[TropicalPoint]) -> floa
     return float((d * d).sum())
 
 
-def build_fw_lp(sample: Sequence[TropicalPoint]) -> LinearProgram:
-    """The compact Fermat-Weber LP: minimize sum (a_i - b_i) over free y, a, b
-    subject to b_i <= y_j - v_ij <= a_i.
-
-    At the optimum a_i - b_i is the tropical distance from y to v_i.  There
-    are 2 rows per sample point and coordinate (2*s*e rows, e + 2*s
-    variables), the formulation of Lin & Yoshida, *Tropical Fermat-Weber
-    points* (2018).
-    """
-    return _fw_lp(_sample_arrays(sample))
-
-
-def _fw_lp(V: np.ndarray) -> LinearProgram:
-    """The compact FW LP of the sample rows V.
-
-    The s*e upper-bound rows y_j - a_i <= v_ij (point-major) come first,
-    then the s*e lower-bound rows b_i - y_j <= -v_ij.  Row order steers
-    Bland's rule to one of the optimal vertices, so it fixes the pivots
-    and the vertex that seeded output reports.
-    """
-    s, e = V.shape
-    Yrep = np.tile(np.eye(e), (s, 1))
-    point = np.repeat(np.eye(s), e, axis=0)
-    zero = np.zeros_like(point)
-    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point])])
-    rhs = np.concatenate([V.ravel(), -V.ravel()])
-    objective = np.concatenate([np.zeros(e), np.ones(s), -np.ones(s)])
-    return LinearProgram(objective, rows, rhs, n_free=e + 2 * s)
-
-
 def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
-    """One optimal Fermat-Weber vertex via the deterministic simplex.
+    """One optimal Fermat-Weber point, from the dual of the location LP.
 
-    The optimal set is a polytope.  When the sample is all ultrametric and
-    the vertex is not, the vertex is replaced by its tropical projection
-    onto tconv(sample), which is an equally optimal ultrametric point (see
-    _refine_to_ultrametric).  Exactly one LP is solved.
-    """
+    That dual is an s x s assignment problem (Comaneci & Joswig, *Tropical
+    medians by transportation*, 2022): the optimum is the max over
+    permutations sigma of sum_i c[i, sigma(i)], c[i, k] = max_j (v_kj - v_ij).
+    _fw_point recovers a point attaining it, and _refine_to_ultrametric may
+    replace that point by an ultrametric one."""
     V = _sample_arrays(sample)
     s, e = V.shape
-    sol = solve_lp(build_fw_lp(sample))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"Fermat-Weber LP returned {sol.status}; inputs are finite "
-                           "so this signals a solver defect")
-    raw = tuple(float(v) for v in sol.x[:e])
-    opt = float(sol.objective_value)
-    diagnostics = {"raw_point": raw, "lp_status": sol.status,
-                   "n_constraints": 2 * s * e, "closure_refined": False}
+    per = max(1, _CUBE_BLOCK // (s * e))
+    with np.errstate(over="ignore"):
+        C = np.vstack([(V - V[lo : lo + per, None, :]).max(axis=2) for lo in range(0, s, per)])
+        if not np.isfinite(C).all():
+            raise RuntimeError("Fermat-Weber costs are not finite: coordinate differences overflow")
+        sigma = _assignment(C)
+        opt = float(C[np.arange(s), sigma].sum())
+    raw = tuple(_fw_point(V, sigma, opt).tolist())
     refined = _refine_to_ultrametric(V, raw, opt)
-    if refined is not None:
-        raw = refined
-        diagnostics["raw_point"] = raw
-        diagnostics["closure_refined"] = True
-    return LocationResult(
-        point=canonicalize(raw),
-        objective=opt,
-        method=FW_LP,
-        diagnostics=diagnostics,
-    )
+    raw = raw if refined is None else refined
+    return LocationResult(canonicalize(raw), opt, FW_LP,
+                          {"raw_point": raw, "closure_refined": refined is not None})
+
+
+def _assignment(C: np.ndarray) -> np.ndarray:
+    """The permutation sigma maximizing sum_i C[i, sigma(i)]: shortest
+    augmenting paths with potentials (Kuhn, 1955; Jonker & Volgenant, 1987),
+    one vectorized pass over the columns per step.  Ties go to the first
+    free column, else to the first column, which keeps tied paths short."""
+    s = len(C)
+    C = np.hstack([C, np.zeros((s, 1))])  # column s: the virtual start of every path
+    u, v = np.zeros(s), -C.max(axis=0)  # column reduction
+    row_of = np.full(s + 1, -1)  # the row matched to each column
+    for i in range(s):
+        row_of[s], col = i, s
+        dist, way, done = np.full(s + 1, np.inf), np.full(s + 1, s), np.zeros(s + 1, dtype=bool)
+        dist[s] = 0.0
+        while row_of[col] >= 0:  # Dijkstra on the reduced costs -C - u - v >= 0
+            done[col] = True
+            cur = dist[col] - C[row_of[col]] - u[row_of[col]] - v
+            better = ~done & (cur < dist)
+            dist[better], way[better] = cur[better], col
+            cand = np.where(done, np.inf, dist)  # nearest column, a free one first
+            col = int(np.where(cand == cand.min(), row_of >= 0, 2).argmin())
+        shift = dist[col] - dist[done]
+        u[row_of[done]] += shift
+        v[done] -= shift
+        while col != s:  # flip the matching along the path
+            row_of[col], col = row_of[way[col]], way[col]
+    return np.argsort(row_of[:s])
+
+
+def _fw_point(V: np.ndarray, sigma: np.ndarray, opt: float) -> np.ndarray:
+    """A point y with sum_i d(y, v_i) = opt for an optimal assignment sigma.
+
+    With k = sigma(i) and j* the first argmax of v_kj - v_ij, complementary
+    slackness puts the max of row i of y - V and the min of row k at j*:
+    y_j - y_j* <= v_ij - v_ij* and y_j* - y_j <= v_kj* - v_kj for every j.
+    Bellman-Ford from a virtual source solves these difference constraints;
+    its tolerance absorbs round-off cycles at the data's scale."""
+    s, e = V.shape
+    star = (V[sigma] - V).argmax(axis=1)
+    W = np.where(np.eye(e, dtype=bool), 0.0, np.inf)  # W[a, b] bounds y_b - y_a
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.minimum.at(W, (star[:, None], np.arange(e)), V - V[np.arange(s), star][:, None])
+        np.minimum.at(W, (np.arange(e), star[:, None]), V[sigma, star][:, None] - V[sigma])
+        tol = _BF_TOL * float(np.abs(V).max())
+        y = np.zeros(e)
+        for _ in range(e):
+            y, last = (y[:, None] + W).min(axis=0), y
+            if (last - y).max() <= tol:
+                break
+        else:
+            raise RuntimeError(f"Fermat-Weber point: no convergence in {e} Bellman-Ford rounds")
+        total = float(_distances(y, V).sum())
+    if not abs(total - opt) <= s * e * tol:  # also False when either is not finite
+        raise RuntimeError(f"Fermat-Weber point: distance sum {total!r}, optimum {opt!r}")
+    return y
 
 
 def _refine_to_ultrametric(V: np.ndarray, raw, opt: float):

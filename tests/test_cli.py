@@ -697,6 +697,8 @@ CONTRACT_CASES = [
     # a leaf count under 3 whose C(N, 2) is the dimension, as C(-2, 2) = 3
     # is; appended last so that the earlier cases keep their ids
     (["fw", "@p", "--check-ultrametric", "-2"], {"p": POINTS}, 3),
+    # coordinate differences overflow to infinity; appended last as well
+    (["fw", "@p"], {"p": "0,1e308,-1e308\n1,-1e308,1e308\n0,0,0\n"}, 4),
 ]
 NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
             if any(isinstance(content, bytes) for content in files.values())]

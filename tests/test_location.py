@@ -1,5 +1,7 @@
 """Fermat-Weber points and Frechet means against grid oracles."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -15,8 +17,7 @@ from tropstat import (
     trop_distance,
 )
 from tropstat import location
-from tropstat.location import _refine_to_ultrametric
-from tropstat.solver import solve_lp
+from tropstat.location import _assignment, _refine_to_ultrametric
 from conftest import (
     FIG_LEFT_VECTOR,
     FIG_RIGHT_VECTOR,
@@ -80,7 +81,6 @@ class TestFermatWeber:
     def test_matches_highs(self, n_leaves, seed, count):
         sample = ultrametric_points(n_leaves, seed, count)
         res = fermat_weber(sample)
-        assert res.diagnostics["n_constraints"] == 2 * count * len(sample[0].coords)
         assert res.objective == pytest.approx(highs_fw_optimum(sample), abs=1e-7)
 
     def test_no_sample_point_beats_optimum(self):
@@ -136,21 +136,18 @@ class TestUltrametricClosure:
         assert three_point_check(refined, tol=1e-9)
         assert fw_objective(TropicalPoint(refined), sample) == pytest.approx(opt, abs=1e-7)
 
-    def test_one_lp_even_when_the_vertex_is_projected(self, monkeypatch):
-        # The solver is made to report the non-ultrametric midpoint of the
-        # test above as its vertex: fermat_weber projects it and solves no
-        # second LP.
+    def test_non_ultrametric_point_is_projected(self, monkeypatch):
+        # The point routine is made to return the non-ultrametric midpoint
+        # of the test above: fermat_weber projects it onto the sample's hull.
         u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
         sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
         calls = []
 
-        def midpoint_vertex(lp):
-            calls.append(lp)
-            sol = solve_lp(lp)
-            sol.x[: len(u)] = (u + v) / 2
-            return sol
+        def midpoint(V, sigma, opt):
+            calls.append(opt)
+            return (u + v) / 2
 
-        monkeypatch.setattr(location, "solve_lp", midpoint_vertex)
+        monkeypatch.setattr(location, "_fw_point", midpoint)
         res = fermat_weber(sample)
         assert len(calls) == 1
         assert res.diagnostics["closure_refined"] is True
@@ -176,6 +173,82 @@ class TestUltrametricClosure:
         res = fermat_weber([TropicalPoint((0.0, 1.0, 2.0))])
         with pytest.raises(ValueError, match="dimension"):
             check_ultrametric_closure(res, -2)
+
+
+def fw_ladder():
+    """Seeded samples: trees with 4-8 leaves and 1-50 points, Gaussian rows
+    up to 30 x 10, integer rows with many ties, duplicated rows and an
+    all-equal sample."""
+    rng = np.random.default_rng(14)
+    out = [[p.coords for p in ultrametric_points(n, 300 + n + s, s)]
+           for n, s in [(4, 1), (4, 50), (5, 2), (5, 30), (6, 7), (6, 20), (7, 12), (8, 5), (8, 50)]]
+    out += [rng.normal(size=(s, e)) for s, e in [(2, 2), (5, 3), (12, 6), (30, 10)]]
+    out += [rng.integers(0, 3, size=(s, e)).astype(float) for s, e in [(4, 3), (9, 6), (20, 10)]]
+    out.append(np.repeat(rng.normal(size=(4, 6)), 3, axis=0))
+    out.append(np.tile([0.0, 1.0, -2.0, 0.5], (7, 1)))
+    return [[TropicalPoint(tuple(p)) for p in np.asarray(V, dtype=float)] for V in out]
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("sample", fw_ladder())
+    def test_matches_highs(self, sample):
+        res = fermat_weber(sample)
+        opt = highs_fw_optimum(sample)
+        assert res.objective == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        assert fw_objective(res.point, sample) == pytest.approx(opt, rel=1e-9, abs=1e-12)
+
+    def test_matches_every_permutation(self):
+        # integer costs, so the sums are exact and ties are frequent
+        rng = np.random.default_rng(5)
+        for s in range(1, 7):
+            for _ in range(20):
+                C = rng.integers(-3, 4, size=(s, s)).astype(float)
+                sigma = _assignment(C)
+                assert sorted(sigma.tolist()) == list(range(s))
+                best = max(C[np.arange(s), list(p)].sum() for p in permutations(range(s)))
+                assert C[np.arange(s), sigma].sum() == best
+
+    def test_two_points_give_their_distance(self):
+        rng = np.random.default_rng(2)
+        for e in (2, 3, 6, 10):
+            sample = [TropicalPoint(tuple(r)) for r in rng.normal(size=(2, e))]
+            assert fermat_weber(sample).objective == trop_distance(*sample)
+
+    def test_deterministic(self):
+        sample = ultrametric_points(6, 17, 20)
+        a, b = fermat_weber(sample), fermat_weber(sample)
+        assert a.point.coords == b.point.coords
+        assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+        assert a.diagnostics == b.diagnostics
+
+    def test_cost_slabs_do_not_change_the_output(self, monkeypatch):
+        for sample in (ultrametric_points(5, 23, 17), fw_ladder()[12]):  # trees, Gaussian 30 x 10
+            whole = fermat_weber(sample)
+            s, e = len(sample), sample[0].dim
+            monkeypatch.setattr(location, "_CUBE_BLOCK", 3 * s * e)  # slabs of 3 rows
+            sliced = fermat_weber(sample)
+            monkeypatch.undo()
+            assert sliced.point.coords == whole.point.coords
+            assert sliced.objective == whole.objective
+            assert sliced.diagnostics == whole.diagnostics
+
+    def test_bellman_ford_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(location, "_BF_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="Bellman-Ford"):
+            fermat_weber(ultrametric_points(4, 3, 5))
+
+    def test_point_off_the_optimum_raises(self, monkeypatch):
+        # every distance read 1e-6 too long: the point's sum misses the optimum
+        distances = location._distances
+        monkeypatch.setattr(location, "_distances", lambda X, Y: distances(X, Y) + 1e-6)
+        with pytest.raises(RuntimeError, match="distance sum"):
+            fermat_weber(ultrametric_points(4, 3, 5))
+
+    def test_overflowing_differences_raise(self):
+        sample = [TropicalPoint((0.0, 1e308, -1e308)), TropicalPoint((1.0, -1e308, 1e308)),
+                  TropicalPoint((0.0, 0.0, 0.0))]
+        with pytest.raises(RuntimeError, match="not finite"):
+            fermat_weber(sample)
 
 
 class TestFrechetMean:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize as scipy_opt
 
-from conftest import lattice_points_3d, ultrametric_points
+from conftest import fw_lp, lattice_points_3d, ultrametric_points
 from tropstat import (
     LinearProgram,
     SimConfig,
@@ -392,7 +392,7 @@ def svm_sample(tie_step=None):
 
 class TestReferenceSolver:
     """solve_lp against the general solver it replaced, bit for bit, on the
-    LPs that src/ builds."""
+    LPs that src/ builds and on the Fermat-Weber reference LP."""
 
     @staticmethod
     def assert_same(lp, ref, sense):
@@ -424,7 +424,7 @@ class TestReferenceSolver:
                    for n in (4, 5, 6) for seed in range(4)]
         samples += [rng.normal(size=(s, e)) for s, e in [(1, 3), (3, 4), (6, 6), (9, 5)]]
         for V in samples:
-            lp = location._fw_lp(np.array(V, dtype=float))
+            lp = fw_lp(np.array(V, dtype=float))
             # every variable was free
             ref = reference_solve_lp("min", lp.objective, lp.A_ub, lp.b_ub)
             assert self.assert_same(lp, ref, "min") == OPTIMAL
