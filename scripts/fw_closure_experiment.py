@@ -1,10 +1,10 @@
 """Fermat-Weber closure experiment on random ultrametric samples.
 
 For each trial: simulate a sample of equidistant trees, compute the
-Fermat-Weber point, check the three-point condition on the raw point
-recovered from the assignment problem and on the refined point, and measure the tropical distance from the FW
-point to the fitted principal polytope (the conjecture diagnostic; the
-distance is reported, never asserted).
+Fermat-Weber point, check the three-point condition on the point read off
+the assignment problem, and measure the tropical distance from the FW point
+to the fitted principal polytope (the conjecture diagnostic; the distance is
+reported, never asserted).
 
 Usage: python3 scripts/fw_closure_experiment.py [--trials 30] [--n-leaves 4]
 """
@@ -33,7 +33,6 @@ def main():
     args = parser.parse_args()
 
     closures = 0
-    refined = 0
     pca_distances = []
     for trial in range(args.trials):
         cfg = SimConfig(args.n_leaves, 1.0, args.seed + trial, args.sample_size)
@@ -43,7 +42,6 @@ def main():
         res = fermat_weber(sample)
         ok = check_ultrametric_closure(res, args.n_leaves, tol=1e-6)
         closures += ok
-        refined += res.diagnostics["closure_refined"]
 
         model = fit_principal_polytope(sample, min(3, len(sample)))
         proj = project_onto_polytope(res.point, model.polytope)
@@ -51,7 +49,6 @@ def main():
 
     print(f"trials:             {args.trials}")
     print(f"closure holds:      {closures}/{args.trials}")
-    print(f"refinement used:    {refined}/{args.trials}")
     print(f"FW-to-PCA distance: min {min(pca_distances):.6f}  "
           f"max {max(pca_distances):.6f}  "
           f"mean {sum(pca_distances) / len(pca_distances):.6f}")

@@ -1,11 +1,10 @@
 """Tropical Fermat-Weber points and Frechet means.
 
-The Fermat-Weber point is recovered from an optimal assignment, the dual
-of the location LP, or, when that point of an all-ultrametric sample is
-not ultrametric, is its tropical projection onto the sample's hull; the
-Frechet mean is computed by direct convex minimization of the squared
-tropical distance sum with deterministic multi-start, all starts evaluated
-together by one batched oracle.
+The Fermat-Weber point is read off the potentials of an optimal
+assignment, the dual of the location LP, and lies in the sample's
+tropical convex hull; the Frechet mean is computed by direct convex
+minimization of the squared tropical distance sum with deterministic
+multi-start, all starts evaluated together by one batched oracle.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _CUBE_BLOCK, TropicalPoint, _distances, _project, _sample_arrays, canonicalize
+from .core import _CUBE_BLOCK, TropicalPoint, _distances, _sample_arrays, canonicalize
 from .solver import minimize_convex
-from .treeio import _leaves_for, three_point_check
+from .treeio import three_point_check
 
 FW_LP = "FW_LP"
 FRECHET_DESCENT = "FRECHET_DESCENT"
-_BF_TOL = 1e-12  # Bellman-Ford stops when no label drops by this times max |v_ij|
 
 
 @dataclass
@@ -49,29 +47,41 @@ def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
     That dual is an s x s assignment problem (Comaneci & Joswig, *Tropical
     medians by transportation*, 2022): the optimum is the max over
     permutations sigma of sum_i c[i, sigma(i)], c[i, k] = max_j (v_kj - v_ij).
-    _fw_point recovers a point attaining it, and _refine_to_ultrametric may
-    replace that point by an ultrametric one."""
+
+    The point is y = max_k (b_k + v_k) for the assignment's column
+    potentials b, whose row potentials a give c[i, k] <= a_i - b_k with
+    equality on sigma.  So max_j (y_j - v_ij) <= a_i and
+    min_j (y_j - v_ij) >= b_i, and sum_i d(y, v_i) <= sum_i (a_i - b_i),
+    the optimum.  y is a max-plus combination of the sample, so it lies in
+    the sample's tropical convex hull; ultrametrics are tropically convex
+    (Lin, Sturmfels, Tang & Yoshida, *Convexity in tree spaces*, 2017),
+    and float rounding is monotone, so y of an ultrametric sample is
+    ultrametric."""
     V = _sample_arrays(sample)
     s, e = V.shape
     per = max(1, _CUBE_BLOCK // (s * e))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         C = np.vstack([(V - V[lo : lo + per, None, :]).max(axis=2) for lo in range(0, s, per)])
         if not np.isfinite(C).all():
             raise RuntimeError("Fermat-Weber costs are not finite: coordinate differences overflow")
-        sigma = _assignment(C)
+        sigma, b = _assignment(C)
         opt = float(C[np.arange(s), sigma].sum())
-    raw = tuple(_fw_point(V, sigma, opt).tolist())
-    refined = _refine_to_ultrametric(V, raw, opt)
-    raw = raw if refined is None else refined
-    return LocationResult(canonicalize(raw), opt, FW_LP,
-                          {"raw_point": raw, "closure_refined": refined is not None})
+        y = (V + b[:, None]).max(axis=0)
+        total = float(_distances(y, V).sum())
+    tol = s * e * 1e-12 * float(np.abs(V).max())
+    if not abs(total - opt) <= tol:  # also False when either is not finite
+        raise RuntimeError(f"Fermat-Weber point: distance sum {total!r}, optimum {opt!r}")
+    raw = tuple(y.tolist())
+    return LocationResult(canonicalize(raw), opt, FW_LP, {"raw_point": raw})
 
 
-def _assignment(C: np.ndarray) -> np.ndarray:
-    """The permutation sigma maximizing sum_i C[i, sigma(i)]: shortest
-    augmenting paths with potentials (Kuhn, 1955; Jonker & Volgenant, 1987),
-    one vectorized pass over the columns per step.  Ties go to the first
-    free column, else to the first column, which keeps tied paths short."""
+def _assignment(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation sigma maximizing sum_i C[i, sigma(i)], and column
+    potentials b with C[i, k] <= a_i - b_k for row potentials a, equal on
+    sigma: shortest augmenting paths with potentials (Kuhn, 1955; Jonker &
+    Volgenant, 1987), one vectorized pass over the columns per step.  Ties
+    go to the first free column, else to the first column, which keeps
+    tied paths short."""
     s = len(C)
     C = np.hstack([C, np.zeros((s, 1))])  # column s: the virtual start of every path
     u, v = np.zeros(s), -C.max(axis=0)  # column reduction
@@ -92,58 +102,7 @@ def _assignment(C: np.ndarray) -> np.ndarray:
         v[done] -= shift
         while col != s:  # flip the matching along the path
             row_of[col], col = row_of[way[col]], way[col]
-    return np.argsort(row_of[:s])
-
-
-def _fw_point(V: np.ndarray, sigma: np.ndarray, opt: float) -> np.ndarray:
-    """A point y with sum_i d(y, v_i) = opt for an optimal assignment sigma.
-
-    With k = sigma(i) and j* the first argmax of v_kj - v_ij, complementary
-    slackness puts the max of row i of y - V and the min of row k at j*:
-    y_j - y_j* <= v_ij - v_ij* and y_j* - y_j <= v_kj* - v_kj for every j.
-    Bellman-Ford from a virtual source solves these difference constraints;
-    its tolerance absorbs round-off cycles at the data's scale."""
-    s, e = V.shape
-    star = (V[sigma] - V).argmax(axis=1)
-    W = np.where(np.eye(e, dtype=bool), 0.0, np.inf)  # W[a, b] bounds y_b - y_a
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.minimum.at(W, (star[:, None], np.arange(e)), V - V[np.arange(s), star][:, None])
-        np.minimum.at(W, (np.arange(e), star[:, None]), V[sigma, star][:, None] - V[sigma])
-        tol = _BF_TOL * float(np.abs(V).max())
-        y = np.zeros(e)
-        for _ in range(e):
-            y, last = (y[:, None] + W).min(axis=0), y
-            if (last - y).max() <= tol:
-                break
-        else:
-            raise RuntimeError(f"Fermat-Weber point: no convergence in {e} Bellman-Ford rounds")
-        total = float(_distances(y, V).sum())
-    if not abs(total - opt) <= s * e * tol:  # also False when either is not finite
-        raise RuntimeError(f"Fermat-Weber point: distance sum {total!r}, optimum {opt!r}")
-    return y
-
-
-def _refine_to_ultrametric(V: np.ndarray, raw, opt: float):
-    """Equally optimal ultrametric point for an all-ultrametric sample whose
-    optimum raw is not ultrametric: the tropical projection of raw onto
-    tconv(V).  Returns None when refinement does not apply.
-
-    With lam_l = min_j(raw_j - v_lj), the projection z is at most raw in
-    every coordinate and z - v_i >= lam_i, so no distance d(z, v_i)
-    exceeds d(raw, v_i) and z is optimal too.  Ultrametrics are tropically
-    convex (Lin, Sturmfels, Tang & Yoshida, *Convexity in tree spaces*,
-    2017), so z is ultrametric.
-    """
-    try:
-        _leaves_for(V.shape[1])
-    except ValueError:
-        return None
-    if three_point_check(raw, tol=1e-9) or not all(three_point_check(V, tol=1e-9)):
-        return None
-    z = _project(np.asarray(raw), V)[1]
-    if _distances(z, V).sum() <= opt + 1e-7:
-        return tuple(z.tolist())
-    return None
+    return np.argsort(row_of[:s]), v[:s]
 
 
 def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:

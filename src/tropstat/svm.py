@@ -215,8 +215,8 @@ def _train(sample: LabeledSample, C: Optional[float], tol: float):
     not solved.
     """
     _check_classes(sample)
-    if C is not None and not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if C is not None and not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     X = _sample_arrays(sample.points)
     K = _assignment_array(sample.dim)
     bounds = _margin_bounds(X, sample.labels, K, C) + ROUND_TOL * (1.0 + np.ptp(X))

@@ -190,7 +190,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "C, code, text",
         [("0", 5, "C must be positive"), ("-1", 5, "C must be positive"),
-         ("0.01", 4, "unbounded at C = 0.01")],
+         ("0.01", 4, "unbounded at C = 0.01"), ("inf", 5, "positive and finite")],
     )
     def test_soft_svm_bad_C(self, capsys, tmp_path, C, code, text):
         data = tmp_path / "s.csv"

@@ -17,7 +17,8 @@ from tropstat import (
     trop_distance,
 )
 from tropstat import location
-from tropstat.location import _assignment, _refine_to_ultrametric
+from tropstat.core import _project
+from tropstat.location import _assignment
 from conftest import (
     FIG_LEFT_VECTOR,
     FIG_RIGHT_VECTOR,
@@ -121,36 +122,15 @@ class TestUltrametricClosure:
             res.objective, abs=1e-6
         )
 
-    def test_refinement_of_non_ultrametric_optimum(self):
+    def test_trees_of_different_topologies_give_an_ultrametric_point(self):
         # For two points every classical convex combination z satisfies
         # d(u, z) + d(z, v) = d(u, v), so the midpoint of two ultrametrics
-        # with different topologies is optimal but not ultrametric.
+        # with different topologies is optimal but not ultrametric; the
+        # point read off the assignment is a max-plus combination instead.
         u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
         sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
-        raw = tuple((u + v) / 2)
-        opt = trop_distance(*sample)
-        assert not three_point_check(raw, tol=1e-9)
-        assert fw_objective(TropicalPoint(raw), sample) == pytest.approx(opt, abs=1e-12)
-        refined = _refine_to_ultrametric(np.array([u, v]), raw, opt)
-        assert refined is not None
-        assert three_point_check(refined, tol=1e-9)
-        assert fw_objective(TropicalPoint(refined), sample) == pytest.approx(opt, abs=1e-7)
-
-    def test_non_ultrametric_point_is_projected(self, monkeypatch):
-        # The point routine is made to return the non-ultrametric midpoint
-        # of the test above: fermat_weber projects it onto the sample's hull.
-        u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
-        sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
-        calls = []
-
-        def midpoint(V, sigma, opt):
-            calls.append(opt)
-            return (u + v) / 2
-
-        monkeypatch.setattr(location, "_fw_point", midpoint)
+        assert not three_point_check((u + v) / 2, tol=1e-9)
         res = fermat_weber(sample)
-        assert len(calls) == 1
-        assert res.diagnostics["closure_refined"] is True
         assert check_ultrametric_closure(res, 4, tol=1e-9)
         assert res.objective == pytest.approx(trop_distance(*sample), abs=1e-12)
         assert fw_objective(res.point, sample) == pytest.approx(res.objective, abs=1e-9)
@@ -196,6 +176,15 @@ class TestAssignment:
         opt = highs_fw_optimum(sample)
         assert res.objective == pytest.approx(opt, rel=1e-9, abs=1e-12)
         assert fw_objective(res.point, sample) == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        # a fixed point of the projection onto the sample's hull
+        V, y = np.array([p.coords for p in sample]), res.point.as_array()
+        scale = max(1.0, float(np.abs(V).max()))
+        assert np.abs(_project(y, V)[1] - y).max() <= 1e-12 * scale
+        try:
+            trees = all(three_point_check(V, tol=0.0))
+        except ValueError:  # e is not C(N, 2)
+            trees = False
+        assert not trees or three_point_check(y, tol=0.0)
 
     def test_matches_every_permutation(self):
         # integer costs, so the sums are exact and ties are frequent
@@ -203,10 +192,12 @@ class TestAssignment:
         for s in range(1, 7):
             for _ in range(20):
                 C = rng.integers(-3, 4, size=(s, s)).astype(float)
-                sigma = _assignment(C)
+                sigma, b = _assignment(C)
                 assert sorted(sigma.tolist()) == list(range(s))
                 best = max(C[np.arange(s), list(p)].sum() for p in permutations(range(s)))
                 assert C[np.arange(s), sigma].sum() == best
+                # the potentials certify it: the dual objective is the optimum
+                assert (C + b).max(axis=1).sum() - b.sum() == best
 
     def test_two_points_give_their_distance(self):
         rng = np.random.default_rng(2)
@@ -231,11 +222,6 @@ class TestAssignment:
             assert sliced.point.coords == whole.point.coords
             assert sliced.objective == whole.objective
             assert sliced.diagnostics == whole.diagnostics
-
-    def test_bellman_ford_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(location, "_BF_TOL", -1.0)
-        with pytest.raises(RuntimeError, match="Bellman-Ford"):
-            fermat_weber(ultrametric_points(4, 3, 5))
 
     def test_point_off_the_optimum_raises(self, monkeypatch):
         # every distance read 1e-6 too long: the point's sum misses the optimum

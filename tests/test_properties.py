@@ -10,6 +10,7 @@ from tropstat import (
     TropicalPoint,
     TropicalPolytope,
     cophenetic,
+    fermat_weber,
     fw_objective,
     in_polytope,
     project_onto_polytope,
@@ -18,7 +19,6 @@ from tropstat import (
     trop_segment,
     tropical_combination,
 )
-from tropstat.location import _refine_to_ultrametric
 from tropstat.treeio import _build_tree, _leaf_names
 
 finite_coord = st.floats(
@@ -130,17 +130,15 @@ class TestProjection:
             assert project_onto_polytope(v, P).close_to(v, tol=1e-9)
 
 
-class TestUltrametricRefinement:
-    @given(ultrametric_pairs(), st.floats(0.0, 1.0))
+class TestFermatWeberOfTwoTrees:
+    @given(ultrametric_pairs())
     @settings(max_examples=60)
-    def test_convex_combination_of_two_trees(self, pair, t):
-        # every classical convex combination z of u and v is a Fermat-Weber
-        # point of {u, v}: d(u, z) + d(z, v) = d(u, v)
-        u, v = pair
-        sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
-        z = tuple((1.0 - t) * u + t * v)
+    def test_point_is_ultrametric_and_optimal(self, pair):
+        # the Fermat-Weber optimum of {u, v} is d(u, v), and the point read
+        # off the assignment is a max-plus combination of u and v
+        sample = [TropicalPoint(tuple(x)) for x in pair]
+        res = fermat_weber(sample)
         opt = trop_distance(*sample)
-        refined = _refine_to_ultrametric(np.array(pair), z, opt)
-        point = z if refined is None else refined
-        assert three_point_check(point, tol=1e-9)
-        assert fw_objective(TropicalPoint(point), sample) == pytest.approx(opt, abs=1e-9)
+        assert three_point_check(res.point.coords, tol=1e-9)
+        assert res.objective == pytest.approx(opt, abs=1e-9)
+        assert fw_objective(res.point, sample) == pytest.approx(opt, abs=1e-9)
