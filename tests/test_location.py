@@ -122,18 +122,38 @@ class TestUltrametricClosure:
             res.objective, abs=1e-6
         )
 
-    def test_trees_of_different_topologies_give_an_ultrametric_point(self):
+    def test_refinement_of_non_ultrametric_optimum(self):
         # For two points every classical convex combination z satisfies
         # d(u, z) + d(z, v) = d(u, v), so the midpoint of two ultrametrics
         # with different topologies is optimal but not ultrametric; the
         # point read off the assignment is a max-plus combination instead.
         u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
         sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
-        assert not three_point_check((u + v) / 2, tol=1e-9)
+        mid = (u + v) / 2
+        assert not three_point_check(mid, tol=1e-9)
+        assert fw_objective(TropicalPoint(tuple(mid)), sample) == pytest.approx(
+            trop_distance(*sample), abs=1e-12
+        )
         res = fermat_weber(sample)
         assert check_ultrametric_closure(res, 4, tol=1e-9)
         assert res.objective == pytest.approx(trop_distance(*sample), abs=1e-12)
         assert fw_objective(res.point, sample) == pytest.approx(res.objective, abs=1e-9)
+
+    def test_non_ultrametric_point_is_projected(self):
+        # The tropical segment [u, v] is a geodesic and lies in the
+        # ultrametrics, so projecting the non-ultrametric midpoint onto it
+        # keeps the optimum and gives an ultrametric; the Fermat-Weber point
+        # is already on the segment, a fixed point of that projection.
+        u, v = np.array(FIG_LEFT_VECTOR), np.array(FIG_RIGHT_VECTOR)
+        sample = [TropicalPoint(tuple(u)), TropicalPoint(tuple(v))]
+        V = np.array([u, v])
+        projected = _project((u + v) / 2, V)[1]
+        assert three_point_check(projected, tol=1e-9)
+        assert fw_objective(TropicalPoint(tuple(projected)), sample) == pytest.approx(
+            trop_distance(*sample), abs=1e-9
+        )
+        y = fermat_weber(sample).point.as_array()
+        assert np.abs(_project(y, V)[1] - y).max() <= 1e-12 * float(np.abs(V).max())
 
     def test_records_raw_representative(self):
         sample = ultrametric_points(4, 105, 5)
