@@ -215,10 +215,9 @@ def _location(args, command):
         raise CliError(str(exc), EXIT_SOLVER)
     if args.check_ultrametric is not None:
         try:
-            closure = check_ultrametric_closure(res, args.check_ultrametric, tol=args.tol)
+            check_ultrametric_closure(res, args.check_ultrametric, tol=args.tol)
         except ValueError as exc:  # the dimension is not C(N, 2)
             raise CliError(str(exc), EXIT_DIMENSION)
-        res.diagnostics["closure"] = bool(closure)
     result = {
         "point": list(res.point.coords),
         "objective": res.objective,

@@ -188,7 +188,9 @@ def fit_lda(
     S2: Sequence[TropicalPoint],
     seed: int = 0,
 ) -> LdaCandidate:
-    """Local search over 2-vertex polytopes seeded at the class FW points."""
+    """Local search over 2-vertex polytopes seeded at the class FW points;
+    the result depends on which optimal FW point fermat_weber returns, not
+    only on the FW optimum, since a sample's FW points need not be unique."""
     if not S1 or not S2:
         raise ValueError("both samples must be nonempty")
     rng = np.random.default_rng(seed)

@@ -3,8 +3,8 @@
 The Fermat-Weber point is read off the potentials of an optimal
 assignment, the dual of the location LP, and lies in the sample's
 tropical convex hull; the Frechet mean is computed by direct convex
-minimization of the squared tropical distance sum with deterministic
-multi-start, all starts evaluated together by one batched oracle.
+minimization of the squared tropical distance sum, one descent from the
+best of the Fermat-Weber point, the sample points and their median.
 """
 
 from __future__ import annotations
@@ -106,62 +106,55 @@ def _assignment(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frechet_mean(sample: Sequence[TropicalPoint]) -> LocationResult:
-    """Multi-start subgradient descent on the squared-distance sum.
+    """Subgradient descent on the squared-distance sum from one start.
 
-    Starts at every sample point plus their coordinatewise median.
+    The start is the best of the Fermat-Weber point, the sample points and
+    their coordinatewise median, the first on ties, so no sample point can
+    beat the result.
     """
     V = _sample_arrays(sample)
-    starts = np.vstack([V, np.median(V, axis=0)])
-    z, val = minimize_convex(_frechet_oracle(V), V.shape[1], starts)
+    f = _frechet_oracle(V)
+    fw = np.array(fermat_weber(sample).diagnostics["raw_point"])
+    candidates = [fw, *V, np.median(V, axis=0)]
+    start = candidates[int(np.argmin([f(z)[0] for z in candidates]))]
+    z, val = minimize_convex(f, start)
     raw = tuple(float(v) for v in z)
     return LocationResult(
         point=canonicalize(raw),
         objective=float(val),
         method=FRECHET_DESCENT,
-        diagnostics={"raw_point": raw, "n_starts": len(starts)},
+        diagnostics={"raw_point": raw},
     )
 
 
 def _frechet_oracle(V: np.ndarray):
-    """Value and subgradient of sum_i d(z, v_i)^2 at each row z of Z, in
-    blocks of rows whose (rows, s, e) differences fit in _CUBE_BLOCK."""
-    s, e = V.shape
-    per = max(1, _CUBE_BLOCK // (s * e))
+    """Value and subgradient of sum_i d(z, v_i)^2 at one point z."""
+    pair = np.arange(len(V))
 
-    def f(Z: np.ndarray):
-        val, G = np.empty(len(Z)), np.empty((len(Z), e))
-        for lo in range(0, len(Z), per):
-            val[lo : lo + per], G[lo : lo + per] = _frechet_block(Z[lo : lo + per], V)
-        return val, G
+    def f(z: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises in the solver
+            diff = z - V
+            # lexicographically smallest extremal indices on ties (np.arg* default)
+            imax, imin = diff.argmax(axis=1), diff.argmin(axis=1)
+            d = diff[pair, imax] - diff[pair, imin]
+            # one bincount adds every point's argmax term, then its argmin
+            # term, in point order, as np.add.at would
+            g = np.bincount(np.concatenate([imax, imin]),
+                            np.concatenate([2.0 * d, -2.0 * d]), len(z))
+            return (d * d).sum(), g
 
     return f
-
-
-def _frechet_block(Z, V):
-    diff = Z[:, None, :] - V
-    # lexicographically smallest extremal indices on ties (np.arg* default)
-    imax, imin = diff.argmax(axis=2), diff.argmin(axis=2)
-    flat, pair = diff.reshape(-1, V.shape[1]), np.arange(imax.size)
-    d = (flat[pair, imax.ravel()] - flat[pair, imin.ravel()]).reshape(imax.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises in the solver
-        val = (d * d).sum(axis=1)
-    # one bincount adds every point's argmax term, then its argmin term, to
-    # its row in point order, as np.add.at on a single row would
-    base = np.arange(len(Z))[:, None] * V.shape[1]
-    G = np.bincount(np.concatenate([(base + imax).ravel(), (base + imin).ravel()]),
-                    np.concatenate([(2.0 * d).ravel(), (-2.0 * d).ravel()]), Z.size)
-    return val, G.reshape(Z.shape)
 
 
 def check_ultrametric_closure(
     result: LocationResult, n_leaves: int, tol: float = 1e-6
 ) -> bool:
     """Three-point condition on the solver's raw representative, also
-    recorded in result.diagnostics["ultrametric_closure"]."""
+    recorded in result.diagnostics["closure"]."""
     e = n_leaves * (n_leaves - 1) // 2
     if n_leaves < 3 or result.point.dim != e:
         raise ValueError(f"dimension {result.point.dim} is not C({n_leaves},2)")
     raw = result.diagnostics.get("raw_point", result.point.coords)
     ok = three_point_check(raw, tol=tol)
-    result.diagnostics["ultrametric_closure"] = {"raw": ok}
+    result.diagnostics["closure"] = ok
     return ok

@@ -7,9 +7,8 @@ per row, runs a two-phase method, and uses Bland's pivoting rule
 throughout, so results are deterministic and optima are vertex solutions
 of the lifted polyhedron.
 
-The minimizer runs a shrinking-step subgradient descent from several
-starts at once, calling a batched value-and-subgradient oracle once per
-iteration on the starts still running.
+The minimizer runs a shrinking-step subgradient descent from one start,
+calling a one-point value-and-subgradient oracle once per step.
 """
 
 from __future__ import annotations
@@ -200,71 +199,38 @@ MAX_ITERS = 4000
 DESCENT_TOL = 1e-12
 INITIAL_STEP = 1.0
 MIN_STEP = 1e-8
-STALL_LIMIT = 6
+STALL_LIMIT = 24
 
 
 def minimize_convex(
-    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    dim: int,
-    starts: Sequence[Sequence[float]],
+    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    start: Sequence[float],
 ) -> tuple[np.ndarray, float]:
-    """Minimize a finite convex function given a batched value-and-subgradient
-    oracle.
+    """Minimize a finite convex function from one start, given an oracle
+    f(z) that returns the value and a subgradient at the point z.
 
-    f takes a (k, dim) array of points and returns their values, shape (k,),
-    and one subgradient per point, shape (k, dim).  Each row's results must
-    not depend on the other rows of the batch.
-
-    From each start: normalized subgradient steps with a geometrically
-    shrinking step length, tracking the best point seen, so the reported
-    value is monotone across iterations.  The starts advance in lockstep,
-    one oracle call per iteration on the starts still running; a start
-    stops when its step falls below MIN_STEP, its subgradient is zero or
-    it has run MAX_ITERS iterations.  Returns the best point and value of
-    the first start whose best value is smallest.  Deterministic given the
-    starts.
+    Normalized subgradient steps, tracking the best point seen.  After
+    STALL_LIMIT steps without an improvement of more than DESCENT_TOL the
+    step halves, and the descent goes on from the current point.  It stops
+    when the step is below MIN_STEP, when the subgradient is zero or after
+    MAX_ITERS steps, and returns the best point and its value.  A
+    non-finite value raises ValueError.
     """
-    Z = np.array(starts, dtype=float, ndmin=2)
-    if Z.shape[1:] != (dim,):
-        raise ValueError("start point dimension mismatch")
-    # One row per running start, rows[i] being its start.  The first
-    # iteration reuses the values at the starts, and a reset to the best
-    # point reuses the subgradient recorded there.
-    val, G = _eval(f, Z)
-    rows, best_Z, best_val, best_G = np.arange(len(Z)), Z.copy(), val, G.copy()
-    step, stall = np.full(len(Z), INITIAL_STEP), np.zeros(len(Z), dtype=int)
-    out_Z, out_val = np.empty_like(Z), np.empty_like(val)
-    for it in range(MAX_ITERS):
-        if it:
-            val, G = _eval(f, Z)
-        better = val < best_val - DESCENT_TOL
-        best_val = np.where(better, val, best_val)
-        best_Z[better], best_G[better] = Z[better], G[better]
-        stall = np.where(better, 0, stall + 1)
-        halve = ~better & (stall >= STALL_LIMIT)
-        step[halve] *= 0.5
-        done = halve & (step < MIN_STEP)
-        reset = halve & ~done
-        Z[reset], G[reset], stall[reset] = best_Z[reset], best_G[reset], 0
-        # sqrt of a stacked (1, dim) @ (dim, 1) product rounds like
-        # np.linalg.norm of each row
-        gn = np.sqrt(G[:, None, :] @ G[:, :, None]).reshape(-1)
-        done |= gn == 0.0
-        out_Z[rows[done]], out_val[rows[done]] = best_Z[done], best_val[done]
-        go = ~done
-        rows, best_Z, best_val, best_G = rows[go], best_Z[go], best_val[go], best_G[go]
-        step, stall = step[go], stall[go]
-        Z = Z[go] - step[:, None] * (G[go] / gn[go, None])
-        if not len(rows):
+    z = np.array(start, dtype=float)
+    best_z, best_val = z, np.inf
+    step, stall = INITIAL_STEP, 0
+    for _ in range(MAX_ITERS + 1):  # the start, then one call per step
+        val, g = f(z)
+        if not np.isfinite(val):
+            raise ValueError("objective returned a non-finite value")
+        if val < best_val - DESCENT_TOL:
+            best_z, best_val, stall = z, float(val), 0
+        else:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                step, stall = 0.5 * step, 0
+        gn = np.linalg.norm(g)
+        if step < MIN_STEP or gn == 0.0:
             break
-    out_Z[rows], out_val[rows] = best_Z, best_val
-    i = int(np.argmin(out_val))
-    return out_Z[i], float(out_val[i])
-
-
-def _eval(f, Z):
-    val, G = f(Z)
-    val = np.array(val, dtype=float).reshape(len(Z))
-    if not np.isfinite(val).all():
-        raise ValueError("objective returned a non-finite value")
-    return val, np.array(G, dtype=float).reshape(Z.shape)
+        z = z - step * (g / gn)
+    return best_z, best_val

@@ -219,14 +219,17 @@ class TestLocationCommands:
 
     @pytest.mark.filterwarnings("error")
     def test_frechet_overflow_is_4_and_quiet(self, capsys, tmp_path):
-        # a squared distance of about 4e400 overflows to inf
+        # a squared distance of about 4e400 overflows to inf; in the second
+        # file the coordinate differences themselves overflow
         pts = tmp_path / "big.csv"
-        pts.write_text("0,1e200,3\n0,-1e200,2\n1,2,3\n")
-        code = main(["frechet", str(pts)])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.err == ""
-        assert "non-finite" in envelope_of(captured.out)["result"]["message"]
+        for text, message in [("0,1e200,3\n0,-1e200,2\n1,2,3\n", "non-finite"),
+                              ("0,1e308,-1e308\n1,-1e308,1e308\n0,0,0\n", "not finite")]:
+            pts.write_text(text)
+            code = main(["frechet", str(pts)])
+            captured = capsys.readouterr()
+            assert code == 4
+            assert captured.err == ""
+            assert message in envelope_of(captured.out)["result"]["message"]
 
     def test_header_flag(self, capsys, tmp_path):
         pts = tmp_path / "h.csv"

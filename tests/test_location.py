@@ -159,9 +159,8 @@ class TestUltrametricClosure:
         sample = ultrametric_points(4, 105, 5)
         res = fermat_weber(sample)
         ok = check_ultrametric_closure(res, 4)
-        closure = res.diagnostics["ultrametric_closure"]
-        assert set(closure) == {"raw"}
-        assert closure["raw"] is ok
+        assert set(res.diagnostics) == {"raw_point", "closure"}
+        assert res.diagnostics["closure"] is ok
 
     def test_dimension_guard(self):
         res = fermat_weber([TropicalPoint((0.0, 1.0, 2.0))])
