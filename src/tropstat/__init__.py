@@ -37,7 +37,7 @@ from .pca import (
     pca_coordinates,
     pca_objective,
 )
-from .solver import LinearProgram, Solution, minimize_convex, solve_lp
+from .solver import minimize_convex
 from .svm import (
     LabeledSample,
     NotSeparableError,

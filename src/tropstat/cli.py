@@ -6,6 +6,9 @@ deterministic) and communicates failure through the exit-code contract:
 
     0 ok, 2 parse error, 3 dimension mismatch, 4 solver failure,
     5 bad parameter, 6 not separable, 7 not ultrametric.
+
+A command runs with numpy's floating-point errors raised, so an overflow
+or a non-finite intermediate exits 4, and the envelope is strict JSON.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,7 +44,6 @@ from .svm import (
 )
 from .treeio import (
     DissimilarityMap,
-    NewickError,
     _build_tree,
     _leaf_names,
     _leaves_for,
@@ -49,7 +52,6 @@ from .treeio import (
     serialize_newick,
     three_point_check,
     topology_id,
-    ultrametric_to_tree,
 )
 
 EXIT_OK = 0
@@ -76,8 +78,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round_floats(obj):
-    """Re-render every float at 12 significant digits for stable output."""
+    """Re-render every float at 12 significant digits for stable output;
+    FloatingPointError on a float that is not finite."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise FloatingPointError(f"result value {obj!r} is not finite")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -211,7 +216,7 @@ def _location(args, command):
     pts = _points(read_points(args.points, args.header))
     try:
         res = fermat_weber(pts) if command == "fw" else frechet_mean(pts)
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_SOLVER)
     if args.check_ultrametric is not None:
         try:
@@ -268,12 +273,8 @@ def cmd_svm(args):
                 model = train_hard(sample)
             else:
                 model = train_soft(sample, args.C)
-        except NotSeparableError as exc:
-            raise CliError(str(exc), EXIT_NOT_SEPARABLE)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_BAD_PARAM)
-        except RuntimeError as exc:
-            raise CliError(str(exc), EXIT_SOLVER)
         if args.model_out:
             save_model(model, args.model_out)
         result = model_to_dict(model)
@@ -296,21 +297,24 @@ def cmd_svm(args):
     _write_lines(map(str, _labels(model, X).tolist()), None)
 
 
-def _read_newick_lines(path):
+def _read_newick_maps(path):
+    """The cophenetic map of the tree on each non-blank line of a Newick
+    file; a line that does not parse, or whose tree has no map (fewer than
+    2 leaves, or path lengths that overflow), is reported as path:line."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    trees = []
+    maps = []
     for lineno, line in lines:
         try:
-            trees.append(parse_newick(line))
-        except NewickError as exc:
+            maps.append(cophenetic(parse_newick(line)))
+        except ValueError as exc:  # NewickError is a ValueError
             raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
-    if not trees:
+    if not maps:
         raise CliError(f"{path}: no trees", EXIT_PARSE)
-    return trees
+    return maps
 
 
 def _write_lines(lines, out):
@@ -325,12 +329,11 @@ def _write_lines(lines, out):
 
 def cmd_tree(args):
     if args.action == "newick2ultra":
-        trees = _read_newick_lines(args.input)
-        vectors = [cophenetic(t) for t in trees]
+        vectors = _read_newick_maps(args.input)
         lines = [",".join(f"{v:.12g}" for v in u.values) for u in vectors]
         _write_lines(lines, args.out)
         result = {
-            "n_trees": len(trees),
+            "n_trees": len(vectors),
             "n_leaves": vectors[0].n_leaves,
             "leaf_names": list(vectors[0].leaf_names),
             "vectors": [list(u.values) for u in vectors],
@@ -338,14 +341,12 @@ def cmd_tree(args):
         return emit("tree-newick2ultra", result, quiet=True if not args.out else args.quiet)
 
     if args.action == "ultra2newick":
-        newicks = []
-        for lineno, u in _read_maps(args):
-            try:
-                tree = ultrametric_to_tree(u, tol=args.tol)
-            except ValueError:
-                raise CliError(f"row {lineno} fails the three-point condition",
-                               EXIT_NOT_ULTRAMETRIC)
-            newicks.append(serialize_newick(tree))
+        rows = list(_read_maps(args))
+        verdicts = three_point_check([u.values for _, u in rows], tol=args.tol)
+        if not all(verdicts):
+            raise CliError(f"row {rows[verdicts.index(False)][0]} fails the three-point "
+                           "condition", EXIT_NOT_ULTRAMETRIC)
+        newicks = [serialize_newick(_build_tree(u)) for _, u in rows]
         _write_lines(newicks, args.out)
         return emit("tree-ultra2newick", {"n_trees": len(newicks)},
                     quiet=True if not args.out else args.quiet)
@@ -513,21 +514,26 @@ def main(argv=None) -> int:
             raise CliError(f"--seed must be nonnegative, got {args.seed}", EXIT_BAD_PARAM)
         if args.command == "tree" and args.action != "simulate" and args.input is None:
             raise CliError("missing input file", EXIT_BAD_PARAM)
-        args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.func(args)
         return EXIT_OK
     except CliError as exc:
-        emit(args.command, {"message": str(exc)}, status="error", quiet=False)
-        return exc.code
-    except (NewickError, OSError) as exc:
-        # malformed Newick, an unreadable input file, or an unwritable
-        # --out, --out-prefix or --model-out
-        emit(args.command, {"message": str(exc)}, status="error", quiet=False)
-        return EXIT_PARSE
+        message, code = str(exc), exc.code
+    except OSError as exc:
+        # an unreadable input file, or an unwritable --out, --out-prefix
+        # or --model-out
+        message, code = str(exc), EXIT_PARSE
     except RecursionError:
         # the Newick parser recurses once per nesting level
         message = f"tree nests deeper than the recursion limit ({sys.getrecursionlimit()})"
-        emit(args.command, {"message": message}, status="error", quiet=False)
-        return EXIT_PARSE
+        code = EXIT_PARSE
+    except NotSeparableError as exc:
+        message, code = str(exc), EXIT_NOT_SEPARABLE
+    except (RuntimeError, ArithmeticError) as exc:
+        # a solver failure, or a value that overflows or is not finite
+        message, code = str(exc), EXIT_SOLVER
+    emit(args.command, {"message": message}, status="error", quiet=False)
+    return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ constraints, so one array kernel bounds every LP optimum from shortest
 paths of that difference graph (exact in hard mode), and an LP is solved
 only for an assignment whose bound can still beat the running best.  The
 winner and its vector are those of the solved LPs, as with full
-enumeration.
+enumeration.  Each LP is solved through its dual, a min-cost flow with one
+side constraint on at most four key nodes, by a small bounded-variable
+simplex (Ahuja, Magnanti & Orlin, *Network Flows*, 1993).
 """
 
 from __future__ import annotations
@@ -21,14 +23,18 @@ from typing import Optional
 import numpy as np
 
 from .core import TropicalHyperplane, TropicalPoint, _sample_arrays, canonicalize
-from .solver import OPTIMAL, LinearProgram, solve_lp
 
 HARD = "HARD"
 SOFT = "SOFT"
 
+OPTIMAL = "OPTIMAL"
+INFEASIBLE = "INFEASIBLE"
+UNBOUNDED = "UNBOUNDED"
+
 SEP_TOL = 1e-9
-CYCLE_TOL = 1e-6  # well above solver.FEAS_TOL
+CYCLE_TOL = 1e-6  # well above PIVOT_TOL
 ROUND_TOL = 1e-9  # per unit of the data's spread
+PIVOT_TOL = 1e-9  # per unit of the largest cost, bound or ratio
 
 
 class NotSeparableError(Exception):
@@ -158,45 +164,145 @@ def _margin_bounds(X: np.ndarray, labels, K: np.ndarray,
         return U + (C - 1) * np.minimum(cycle + CYCLE_TOL, 0.0)
 
 
-def _svm_lp(
-    X: np.ndarray, labels, asg: SectorAssignment, C: Optional[float] = None
-) -> LinearProgram:
-    """The separation LP of one assignment: max z, or z - C * total slack,
-    as the minimum of its negation.
-
-    Variables are omega_0..omega_{e-1} and z, free, then (soft mode) one
-    nonnegative slack per row.  Each point with pair (i, j) gives e rows,
-    all of the form omega_plus - omega_minus <= x_minus - x_plus: the
-    margin row (plus j, minus i, + z), the sector row (plus j, minus i),
-    then one row per other coordinate l (plus l, minus j).  Soft mode
-    subtracts the row's own slack, ordered alpha (margin rows), beta
-    (sector rows), gamma.  X is the (n, e) sample matrix, one label per
-    row.
-    """
+def _assignment_rows(X: np.ndarray, labels, asg: SectorAssignment):
+    """Every row of one assignment's LP, as (n, e) arrays plus, minus and
+    rhs: the row reads omega_plus - omega_minus <= rhs, plus z on a margin
+    row.  A point with pair (i, j) has, in order, the margin row (plus j,
+    minus i), the sector row (plus j, minus i), then one row (plus l,
+    minus j) for each other coordinate l, ascending.  X is the (n, e)
+    sample matrix, one label per row."""
     n, e = X.shape
     order = np.array(
         [[i, j] + [l for l in range(e) if l not in (i, j)]
          for i, j in map(asg.pair_for, labels)]
     )
-    i, j = order[:, :1], order[:, 1:2]
-    plus = np.hstack([j, j, order[:, 2:]])
-    minus = np.hstack([i, i, np.repeat(j, e - 2, axis=1)])
-    rhs = (np.take_along_axis(X, minus, 1) - np.take_along_axis(X, plus, 1)).ravel()
-    m = n * e
-    rows = np.zeros((m, e + 1))
-    rows[np.arange(m), plus.ravel()] = 1.0
-    rows[np.arange(m), minus.ravel()] = -1.0
-    rows[::e, e] = 1.0
-    objective = np.zeros(e + 1)
-    objective[e] = -1.0
+    plus = order[:, [1, *range(1, e)]]
+    minus = order[:, [0, 0] + [1] * (e - 2)]
+    rhs = np.take_along_axis(X, minus, 1) - np.take_along_axis(X, plus, 1)
+    return plus, minus, rhs
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the checks catch a non-finite value
+def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment,
+                      C: Optional[float] = None):
+    """(status, objective, x) of one assignment's LP: maximize z, or
+    z - C * total slack, over free omega and z and, in soft mode, one
+    nonnegative slack per row of _assignment_rows.
+
+    Only the keys ip, jp, iq, jq are minus nodes, so a row into a non-key
+    coordinate binds only its own omega.  The LP is solved through the dual
+    of the rows into keys: minimize sum rhs_r y_r subject to inflow =
+    outflow at every key but the first and sum y_r = 1 over the margin
+    rows, 0 <= y_r <= C.  z and omega at the other keys are the multipliers
+    of its final basis, omega is 0 at the first key, a non-key omega_l is
+    the largest value its rows allow, and a slack is lhs - rhs on a row
+    whose y_r sits at C.  x is omega, z and the slacks of the margin rows,
+    the sector rows and the rest, point-major; None unless OPTIMAL.
+    RuntimeError if the point misses a row or the dual value by more than
+    round-off.
+    """
+    plus, minus, rhs = _assignment_rows(X, labels, asg)
+    margin = np.zeros(plus.shape)
+    margin[:, 0] = 1.0
+    keys = list(dict.fromkeys((asg.ip, asg.jp, asg.iq, asg.jq)))
+    kept = np.isin(plus, keys)
+    p, q, c = plus[kept], minus[kept], rhs[kept]
+    A = np.vstack([(p == v) * 1.0 - (q == v) for v in keys[1:]] + [margin[kept]])
+    # Flows are counted in units of a power of two near C: that rounds as
+    # counting in ones does, and keeps sums of flows near C finite.
+    unit = 1.0 if C is None else float(np.ldexp(1.0, min(1023, int(np.frexp(C)[1]))))
+    upper = np.full(len(c), np.inf if C is None else C / unit)
+    status, y, pi, at_upper = _bounded_simplex(A, np.eye(len(keys))[-1] / unit, c, upper)
+    if status != OPTIMAL:  # the dual's status is the reverse of the LP's
+        return {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}[status], None, None
+    omega = np.full(X.shape[1], np.inf)
+    omega[keys] = np.concatenate([[0.0], pi[:-1]])
+    z = float(pi[-1])
+    np.minimum.at(omega, plus[~kept], omega[minus[~kept]] + rhs[~kept])
+    lhs = omega[plus] - omega[minus] + z * margin
+    slack = np.zeros(plus.shape)
+    slack[kept] = np.where(at_upper, np.maximum(lhs[kept] - c, 0.0), 0.0)
+    value = z / unit if C is None else z / unit - C / unit * float(slack.sum())
+    dual = float(c @ y)
+    scale = 1.0 / unit + (np.abs(c) + np.abs(lhs[kept])) @ y
+    if not (np.isfinite(omega).all()
+            and (lhs - slack <= rhs + ROUND_TOL * (1.0 + np.abs(rhs).max())).all()
+            and abs(value - dual) <= ROUND_TOL * scale):
+        raise RuntimeError(f"assignment {asg}: recovered LP value {value * unit!r}, "
+                           f"dual value {dual * unit!r}")
+    x = np.concatenate([omega, [z]])
     if C is not None:
-        slack = np.column_stack([np.arange(n), n + np.arange(n),
-                                 2 * n + np.arange(n * (e - 2)).reshape(n, e - 2)])
-        S = np.zeros((m, m))
-        S[np.arange(m), slack.ravel()] = -1.0
-        rows = np.hstack([rows, S])
-        objective = np.concatenate([objective, np.full(m, C)])
-    return LinearProgram(objective, rows, rhs, n_free=e + 1)
+        x = np.concatenate([x, slack[:, 0], slack[:, 1], slack[:, 2:].ravel()])
+    # -inf if the optimum lies below the float range; + 0.0 turns -0.0 into 0.0
+    return OPTIMAL, value * unit + 0.0, x + 0.0
+
+
+# A ratio past the float range never blocks; any other overflow fails a check.
+@np.errstate(over="ignore", invalid="ignore")
+def _bounded_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndarray):
+    """Minimize c @ y subject to A @ y = b and 0 <= y <= upper, where A has
+    a few rows and upper may hold inf: (status, y, pi, at_upper).
+
+    Two phases over one artificial per row; Phase 2 freezes the
+    artificials by setting their upper bound to 0.  Bland's rule picks the
+    smallest eligible column to enter and the smallest blocking variable
+    to leave, the entering column's own bound flip included, and the basis
+    is inverted afresh at every pivot.  At OPTIMAL, pi holds the
+    multipliers of the final basis (pi @ B = c_B) and at_upper marks the
+    columns that sit nonbasic at their upper bound.  Exact Bland's rule
+    never returns to a basis; RuntimeError is raised when round-off does,
+    or makes a value non-finite.
+    """
+    m, n = A.shape
+    A = np.hstack([A, np.diag(np.where(b < 0, -1.0, 1.0))])
+    hi = np.concatenate([upper, np.full(m, np.inf)])
+    basis = list(range(n, n + m))
+    at_hi = np.zeros(n + m, dtype=bool)
+    flow = np.abs(b).max()  # the scale of the round-off in x
+    seen = set()
+    for phase, cost in enumerate([np.repeat([0.0, 1.0], [n, m]), np.concatenate([c, np.zeros(m)])]):
+        if phase:
+            if x[n:].sum() > PIVOT_TOL * flow:
+                return INFEASIBLE, None, None, None
+            hi[n:] = 0.0
+        tol = PIVOT_TOL * max(1.0, np.abs(cost).max())
+        while True:
+            Binv = np.linalg.inv(A[:, basis])
+            x = np.where(at_hi, hi, 0.0)
+            x[basis] = Binv @ (b - A @ x)
+            pi = cost[basis] @ Binv
+            d = cost - pi @ A
+            key = (phase, *basis, at_hi.tobytes())
+            if key in seen or not (np.isfinite(x).all() and np.isfinite(d).all()):
+                raise RuntimeError(f"simplex stopped after {len(seen)} pivots: round-off "
+                                   "repeated a basis or made a value non-finite")
+            seen.add(key)
+            eligible = (hi > 0) & np.where(at_hi, d > tol, d < -tol)
+            eligible[basis] = False
+            if not eligible.any():
+                break
+            j = int(eligible.argmax())
+            # x_B moves by -step * t as column j moves t away from its bound
+            step = (-1.0 if at_hi[j] else 1.0) * (Binv @ A[:, j])
+            xb, down, up = x[basis], step > PIVOT_TOL, step < -PIVOT_TOL
+            ratio = np.full(m, np.inf)
+            ratio[down] = xb[down] / step[down]
+            ratio[up] = (xb[up] - hi[basis][up]) / step[up]
+            ratio = np.maximum(ratio, 0.0)
+            t = min(ratio.min(), hi[j])
+            if t == np.inf:
+                return UNBOUNDED, None, None, None
+            near = t + PIVOT_TOL * (flow + t)
+            leave = min([basis[i] for i in np.flatnonzero(ratio <= near)]
+                        + ([j] if hi[j] <= near else []))
+            if leave == j:
+                at_hi[j] = not at_hi[j]
+            else:
+                i = basis.index(leave)
+                at_hi[leave] = step[i] < 0
+                basis[i] = j
+                at_hi[j] = False
+    return OPTIMAL, x[:n], pi, at_hi[:n]
 
 
 def _check_classes(sample: LabeledSample):
@@ -225,12 +331,9 @@ def _train(sample: LabeledSample, C: Optional[float], tol: float):
         if bound <= (-np.inf if best is None else best[0]) + tol:
             continue
         asg = SectorAssignment(*row)
-        sol = solve_lp(_svm_lp(X, sample.labels, asg, C))
-        if sol.status != OPTIMAL:
-            continue
-        obj = 0.0 - sol.objective_value  # the maximum; - would turn 0.0 into -0.0
-        if best is None or obj > best[0] + tol:
-            best = (obj, asg, sol.x)
+        status, obj, x = _solve_assignment(X, sample.labels, asg, C)
+        if status == OPTIMAL and (best is None or obj > best[0] + tol):
+            best = (obj, asg, x)
     return best
 
 

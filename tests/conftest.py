@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_simplex import LinearProgram
 from tropstat import (
-    LinearProgram,
     SimConfig,
     TropicalPoint,
     canonicalize,

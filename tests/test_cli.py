@@ -99,6 +99,17 @@ class TestExitCodes:
         assert code == 2
         assert f"{nw}:3:" in envelope_of(out)["result"]["message"]
 
+    @pytest.mark.parametrize("tree, message", [
+        ("a;", "need at least 2 leaves"),
+        ("((a:1e308,b:1e308):1e308,c:1e308);", "dissimilarities must be finite"),
+    ])
+    def test_tree_without_a_map_names_the_physical_line(self, capsys, tmp_path, tree, message):
+        nw = tmp_path / "nw.txt"
+        nw.write_text(f"\n((a:1,b:1):1,c:2);\n{tree}\n")
+        code, out = run(capsys, "tree", "newick2ultra", str(nw))
+        assert code == 2
+        assert envelope_of(out)["result"]["message"] == f"{nw}:3: {message}"
+
     def test_dimension_error_is_3(self, capsys):
         code, _ = run(capsys, "metric", "0,1", "0,1,2")
         assert code == 3
@@ -326,22 +337,24 @@ class TestSvmCommands:
         assert labels == ["0"] * 5 + ["1"] * 5
 
     @pytest.mark.parametrize("C", ["1e308", "1.7e308"])
-    def test_huge_C_is_4_and_terminates(self, train_csv, C):
-        # the first assignment is always solved, and its LP overflows the
-        # reduced costs; the timeout catches a simplex that never stops
+    def test_huge_C_trains_and_terminates(self, capsys, train_csv, C):
+        # the sample is separable, so the slack penalty near the float range
+        # reproduces the hard margin; the timeout catches a simplex that
+        # never stops
         proc = subprocess.run(
             [sys.executable, "-m", "tropstat.cli", "svm", "train", str(train_csv),
              "--mode", "soft", "--C", C],
             capture_output=True, text=True, env=src_env(), timeout=60,
         )
-        assert proc.returncode == 4
-        assert "pivots" in envelope_of(proc.stdout)["result"]["message"]
+        assert proc.returncode == 0
         assert proc.stderr == ""
+        soft = envelope_of(proc.stdout)["result"]
+        code, out = run(capsys, "svm", "train", str(train_csv), "--mode", "hard")
+        hard = envelope_of(out)["result"]
+        assert soft["assignment"] == hard["assignment"]
+        assert soft["margin"] == pytest.approx(hard["margin"], abs=1e-9)
 
     def test_C_1e100_reproduces_hard_margin(self, capsys, train_csv):
-        # 65 of the 750 LPs at this C make Bland's rule revisit a basis
-        # (tests/test_solver.py), but each has a negative cycle of
-        # non-margin rows, so its bound is about -1e100 and it is never solved
         code, out = run(capsys, "svm", "train", str(train_csv), "--mode", "soft", "--C", "1e100")
         assert code == 0
         soft = envelope_of(out)["result"]
@@ -525,13 +538,13 @@ U_ROWS = [  # by leaf count; the last row of each fails the three-point conditio
     ["1,2,2", "2,1,2", "2,2,1", "0,0,0", "1,2,3"],
     ["1.2,1.8,2,1.8,2,2", "0.2,2,2,2,2,1", "1,1,1,1,1,1", "1,2,3,4,5,6"],
 ]
-NUMBERS = ["0", "1", "-1", "0.5", "2.25", "3", "-2.5", "1e3"]
+NUMBERS = ["0", "1", "-1", "0.5", "2.25", "3", "-2.5", "1e3", "1e308", "-1e308"]
 JUNK = ["nan", "inf", "-inf", "x", "", "1e400", " 1", "0x1"]
 NEWICKS = [
     "((a:1,b:1):1,c:2);", "(((a:0.6,b:0.6):0.3,c:0.9):0.1,d:1.0);",
     "((a:1,b:2):1,(c:0.5,d:0.5):1.5)r:0.5;", "(a:1,b:1);", "((a,b),c);",
     "((a:1,b:1):1,c:2)", "(a:1,a:1);", "(:1,b:1);", "(a:x,b:1);", "((a:1,b:1);",
-    "(a:1,b:1); junk", "(a:-1,b:1);", ";", "",
+    "(a:1,b:1); junk", "(a:-1,b:1);", ";", "", "a;",
 ]
 MODEL = {
     "omega": [0.0, 0.5, -0.5],
@@ -678,6 +691,8 @@ ONE_COLUMN = "0\n1\n"
 TREES = "((a:1,b:1):1,c:2);\n"
 POINTS = "0,1,2\n0,2,1\n0,-1,1\n0,1,-1\n"
 LABELLED = "0,1,2,0\n0,2,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n"
+OVERFLOW = "0,1e308,-1e308\n1,-1e308,1e308\n0,0,0\n"
+NEAR_MAX = "9e307,-9e307,9e307\n-9e307,9e307,-9e307\n9e307,9e307,-9e307\n"
 CONTRACT_CASES = [
     # unwritable outputs
     (["tree", "newick2ultra", "@t", "--out", "/nonexistent/o.csv"], {"t": TREES}, 2),
@@ -701,7 +716,21 @@ CONTRACT_CASES = [
     # is; appended last so that the earlier cases keep their ids
     (["fw", "@p", "--check-ultrametric", "-2"], {"p": POINTS}, 3),
     # coordinate differences overflow to infinity; appended last as well
-    (["fw", "@p"], {"p": "0,1e308,-1e308\n1,-1e308,1e308\n0,0,0\n"}, 4),
+    (["fw", "@p"], {"p": OVERFLOW}, 4),
+    # every other command on overflowing input, and Newick trees that have
+    # no dissimilarity map; appended last as well
+    (["lda", "@p", "@p"], {"p": OVERFLOW}, 4),
+    (["regress", "@p"], {"p": OVERFLOW}, 4),
+    (["pca", "@p", "-s", "1"], {"p": OVERFLOW}, 4),
+    (["pca", "@p", "-s", "2"], {"p": OVERFLOW}, 4),
+    (["svm", "train", "@d"], {"d": "0,1e308,-1e308,0\n1,-1e308,1e308,1\n0,0,0,0\n"}, 4),
+    (["metric", "0,1e308,-1e308", "0,-1e308,1e308"], {}, 4),
+    (["regress", "@p"], {"p": "1e308,1e308,1e308\n" * 3}, 4),
+    (["pca", "@p", "-s", "2"], {"p": NEAR_MAX}, 4),
+    (["lda", "@p", "@p"], {"p": NEAR_MAX}, 4),
+    (["regress", "@p"], {"p": NEAR_MAX}, 4),
+    (["tree", "newick2ultra", "@t"], {"t": "a;\n"}, 2),
+    (["tree", "newick2ultra", "@t"], {"t": "((a:1e308,b:1e308):1e308,c:1e308);\n"}, 2),
 ]
 NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
             if any(isinstance(content, bytes) for content in files.values())]
@@ -713,12 +742,20 @@ def with_contract_examples(test):
     return test
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
 class TestContractFuzz:
     @pytest.mark.parametrize("argv, files, code", CONTRACT_CASES)
     def test_contract_case(self, tmp_path, schema, argv, files, code):
         got, out = run_in(tmp_path, argv, files)
         assert got == code
-        env = json.loads(out.splitlines()[-1])
+        env = strict_json(out.splitlines()[-1])
         jsonschema.validate(env, schema)
         assert env["status"] == "error"
 
@@ -737,6 +774,6 @@ class TestContractFuzz:
             code, out = run_in(directory, *run)
         assert code in (0, 2, 3, 4, 5, 6, 7)
         if code:
-            env = json.loads(out.splitlines()[-1])
+            env = strict_json(out.splitlines()[-1])
             jsonschema.validate(env, schema)
             assert env["status"] == "error"

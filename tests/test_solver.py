@@ -1,5 +1,6 @@
-"""Simplex solver: exact rational oracle, scipy cross-checks, the general
-solver it replaced, determinism."""
+"""The dense reference simplex (tests/dense_simplex.py): exact rational
+oracle, scipy cross-checks, the general solver it replaced, determinism;
+and the convex minimizer behind the Frechet mean."""
 
 import warnings
 from fractions import Fraction
@@ -10,8 +11,20 @@ import pytest
 import scipy.optimize as scipy_opt
 
 from conftest import fw_lp, lattice_points_3d, ultrametric_points
-from tropstat import (
+from dense_simplex import (
+    FEAS_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    PIVOT_TOL,
+    UNBOUNDED,
     LinearProgram,
+    Solution,
+    _pivot,
+    _simplex,
+    solve_lp,
+    svm_lp,
+)
+from tropstat import (
     SimConfig,
     TropicalPoint,
     fermat_weber,
@@ -19,20 +32,9 @@ from tropstat import (
     location,
     make_two_class_sample,
     minimize_convex,
-    solve_lp,
     solver,
 )
-from tropstat.solver import (
-    FEAS_TOL,
-    INFEASIBLE,
-    OPTIMAL,
-    PIVOT_TOL,
-    UNBOUNDED,
-    Solution,
-    _pivot,
-    _simplex,
-)
-from tropstat.svm import SectorAssignment, _assignment_array, _svm_lp
+from tropstat.svm import SectorAssignment, _assignment_array
 
 
 def exact_lp_optimum(lp: LinearProgram):
@@ -312,7 +314,7 @@ class TestBasics:
         X = np.array([[float(f"{v:.12g}") for v in u.values] for u in two.ultrametrics])
         asg = SectorAssignment(*_assignment_array(X.shape[1])[5].tolist())
         with pytest.raises(RuntimeError, match="pivots"):
-            solve_lp(_svm_lp(X, two.labels, asg, 1e100))
+            solve_lp(svm_lp(X, two.labels, asg, 1e100))
 
     def test_constraints_are_the_rows(self):
         # perfbench/tracer.py sizes a solve as len(lp.constraints) * lp.n_vars()
@@ -393,7 +395,7 @@ def svm_sample(tie_step=None):
 
 class TestReferenceSolver:
     """solve_lp against the general solver it replaced, bit for bit, on the
-    LPs that src/ builds and on the Fermat-Weber reference LP."""
+    full SVM assignment LPs and on the Fermat-Weber reference LP."""
 
     @staticmethod
     def assert_same(lp, ref, sense):
@@ -411,7 +413,7 @@ class TestReferenceSolver:
     def reference_svm(X, labels, asg, C):
         """The assignment LP as the reference took it: max z, or
         z - C * total slack, over free omega and z and nonnegative slacks."""
-        lp = _svm_lp(X, labels, asg, C)
+        lp = svm_lp(X, labels, asg, C)
         n, e = X.shape
         if C is None:
             return reference_solve_lp("max", np.eye(e + 1)[e], lp.A_ub, lp.b_ub)
@@ -438,7 +440,7 @@ class TestReferenceSolver:
         for row in _assignment_array(X.shape[1]).tolist():
             asg = SectorAssignment(*row)
             ref = self.reference_svm(X, labels, asg, C)
-            statuses.append(self.assert_same(_svm_lp(X, labels, asg, C), ref, "max"))
+            statuses.append(self.assert_same(svm_lp(X, labels, asg, C), ref, "max"))
         assert len(statuses) == 750 and OPTIMAL in statuses
 
     def test_cycling_stops_at_the_same_pivot(self):
@@ -449,7 +451,7 @@ class TestReferenceSolver:
         X = np.array([[float(f"{v:.12g}") for v in u.values] for u in two.ultrametrics])
         asg = SectorAssignment(*_assignment_array(X.shape[1])[5].tolist())
         messages = []
-        for solve in (lambda: solve_lp(_svm_lp(X, two.labels, asg, 1e100)),
+        for solve in (lambda: solve_lp(svm_lp(X, two.labels, asg, 1e100)),
                       lambda: self.reference_svm(X, two.labels, asg, 1e100)):
             with pytest.raises(RuntimeError) as info:
                 solve()

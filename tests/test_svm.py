@@ -4,7 +4,9 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.optimize as scipy_opt
 
+from dense_simplex import LinearProgram, solve_lp, svm_lp
 from tropstat import (
     LabeledSample,
     NotSeparableError,
@@ -18,14 +20,17 @@ from tropstat import (
     train_soft,
 )
 from tropstat import svm
-from tropstat.solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from tropstat.svm import (
+    INFEASIBLE,
+    OPTIMAL,
     ROUND_TOL,
     SEP_TOL,
+    UNBOUNDED,
     _assignment_array,
+    _bounded_simplex,
     _labels,
     _margin_bounds,
-    _svm_lp,
+    _solve_assignment,
     _train,
     load_model,
     model_from_dict,
@@ -83,30 +88,53 @@ SAMPLES = {
 }
 
 
+def highs(lp):
+    """(status, maximum) of a full assignment LP by scipy HiGHS; the
+    maximum is None unless the status is OPTIMAL, and HiGHS's own status
+    4 (numerical difficulties) is returned as 4."""
+    n = lp.n_vars()
+    res = scipy_opt.linprog(
+        lp.objective, A_ub=lp.A_ub, b_ub=lp.b_ub,
+        bounds=[(None, None)] * lp.n_free + [(0.0, None)] * (n - lp.n_free),
+        method="highs",
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.status)
+    return status, (-res.fun if status == OPTIMAL else None)
+
+
+def full_lp(sample, asg, C):
+    return reference_hard_lp(sample, asg) if C is None else reference_soft_lp(sample, asg, C)
+
+
 @functools.lru_cache(maxsize=None)
 def every_lp(name, C):
-    """A named sample and the solution of every assignment's LP, in
-    enumeration order."""
+    """A named sample and HiGHS's (status, maximum) of every assignment's
+    full LP, in enumeration order."""
     sample = SAMPLES[name]()
+    return sample, [highs(full_lp(sample, asg, C)) for asg in reference_assignments(sample.dim)]
+
+
+def reference_train(sample, C, tol=SEP_TOL):
+    """The unpruned loop that _train replaced: every assignment's LP is
+    solved."""
     X = np.array([p.coords for p in sample.points])
-    return sample, [solve_lp(_svm_lp(X, sample.labels, asg, C))
-                    for asg in reference_assignments(sample.dim)]
-
-
-def reference_train(sample, solutions, tol=SEP_TOL):
-    """The unpruned loop that _train replaced, over every LP's solution."""
     best = None
-    for asg, sol in zip(reference_assignments(sample.dim), solutions):
-        if sol.status != OPTIMAL:
-            continue
-        obj = 0.0 - sol.objective_value
-        if best is None or obj > best[0] + tol:
-            best = (obj, asg, sol.x)
+    for asg in reference_assignments(sample.dim):
+        status, obj, x = _solve_assignment(X, sample.labels, asg, C)
+        if status == OPTIMAL and (best is None or obj > best[0] + tol):
+            best = (obj, asg, x)
     return best
 
 
+def meets_every_row(lp, x):
+    """x meets every row of the full LP and every sign constraint, within
+    round-off of the data."""
+    tol = ROUND_TOL * (1.0 + np.abs(lp.b_ub).max())
+    return bool((lp.A_ub @ x <= lp.b_ub + tol).all() and (x[lp.n_free:] >= 0.0).all())
+
+
 def reference_hard_lp(sample, asg):
-    """The row-by-row hard-margin builder that _svm_lp replaced."""
+    """The hard-margin LP, built row by row."""
     e = sample.dim
     nvars = e + 1  # omega_0..omega_{e-1}, z
     objective = [0.0] * e + [-1.0]  # max z as min -z
@@ -137,7 +165,7 @@ def reference_hard_lp(sample, asg):
 
 
 def reference_soft_lp(sample, asg, C):
-    """The row-by-row soft-margin builder that _svm_lp replaced."""
+    """The soft-margin LP, built row by row."""
     e = sample.dim
     n = len(sample.points)
     n_gamma = n * (e - 2)
@@ -223,15 +251,50 @@ class TestSampleValidation:
 class TestBuilder:
     @pytest.mark.parametrize("C", [None, 10.0])
     def test_matches_row_by_row_reference(self, C):
+        """Every assignment of the 5+5 fixture: the rows match the
+        row-by-row LP bit for bit, the status and value match HiGHS on it,
+        and the recovered point meets each of its rows."""
         sample = separable_sample()
         X = np.array([p.coords for p in sample.points])
-        n_assignments = 0
+        statuses = []
         for asg in reference_assignments(sample.dim):
-            ref = (reference_hard_lp(sample, asg) if C is None
-                   else reference_soft_lp(sample, asg, C))
-            assert lp_bytes(_svm_lp(X, sample.labels, asg, C)) == lp_bytes(ref)
-            n_assignments += 1
-        assert n_assignments == 750
+            ref = full_lp(sample, asg, C)
+            assert lp_bytes(svm_lp(X, sample.labels, asg, C)) == lp_bytes(ref)
+            status, value, x = _solve_assignment(X, sample.labels, asg, C)
+            want, best = highs(ref)
+            assert status == want
+            if status == OPTIMAL:
+                assert abs(value - best) <= 1e-9 * (1.0 + abs(best))
+                assert meets_every_row(ref, x)
+                assert np.dot(-np.asarray(ref.objective), x) == pytest.approx(value, abs=1e-12)
+            statuses.append(status)
+        assert len(statuses) == 750 and OPTIMAL in statuses
+
+    @pytest.mark.parametrize("C", [None, 0.4, 10.0])
+    def test_matches_dense_reference(self, C):
+        """The tied 3+3 sample, whose LPs have many degenerate vertices:
+        every assignment's status and value match the dense reference
+        simplex on the full LP."""
+        sample = tied(separable_sample(3))
+        X = np.array([p.coords for p in sample.points])
+        for asg in reference_assignments(sample.dim):
+            status, value, _ = _solve_assignment(X, sample.labels, asg, C)
+            ref = solve_lp(svm_lp(X, sample.labels, asg, C))
+            assert status == ref.status
+            if status == OPTIMAL:
+                assert value == pytest.approx(-ref.objective_value, rel=1e-9, abs=1e-12)
+
+    def test_solves_the_lp_on_which_the_dense_simplex_cycles(self):
+        # assignment 5 at C = 1e100 on the CLI's 5+5 training file: Bland's
+        # rule on the dense tableau revisits a basis (tests/test_solver.py)
+        two = make_two_class_sample(
+            SimConfig(4, 1.0, 2, 5), SimConfig(4, 1.0, 102, 5), separation=1.0
+        )
+        X = np.array([[float(f"{v:.12g}") for v in u.values] for u in two.ultrametrics])
+        asg = SectorAssignment(*_assignment_array(X.shape[1])[5].tolist())
+        status, value, x = _solve_assignment(X, two.labels, asg, 1e100)
+        assert status == OPTIMAL and value < -1e99
+        assert meets_every_row(svm_lp(X, two.labels, asg, 1e100), x)
 
 
 class TestPruning:
@@ -248,19 +311,19 @@ class TestPruning:
         X = np.array([p.coords for p in sample.points])
         allowance = ROUND_TOL * (1.0 + np.ptp(X))
         U = self.bounds(sample, C)
-        opt = [k for k, sol in enumerate(solutions) if sol.status == OPTIMAL]
+        opt = [k for k, (status, _) in enumerate(solutions) if status == OPTIMAL]
         assert opt
         for k in opt:
-            assert U[k] >= -solutions[k].objective_value - allowance
+            assert U[k] >= solutions[k][1] - allowance
 
     @pytest.mark.parametrize("name", ["separable", "flipped", "criterion8", "tied"])
     def test_hard_bound_is_exact(self, name):
         sample, solutions = every_lp(name, None)
         U = self.bounds(sample, None)
-        for u, sol in zip(U, solutions):
-            assert (u == -np.inf) == (sol.status == INFEASIBLE)
-            if sol.status == OPTIMAL:
-                assert abs(u + sol.objective_value) <= 1e-12
+        for u, (status, value) in zip(U, solutions):
+            assert (u == -np.inf) == (status == INFEASIBLE)
+            if status == OPTIMAL:
+                assert abs(u - value) <= 1e-12
 
     @pytest.mark.parametrize("e", [3, 4, 6, 10])
     def test_assignment_order(self, e):
@@ -275,8 +338,8 @@ class TestPruning:
         for C in (None, 1.0, 10.0, 1e6)
     ] + [("tied", 0.4)])
     def test_matches_unpruned_reference(self, name, C):
-        sample, solutions = every_lp(name, C)
-        ref = reference_train(sample, solutions)
+        sample = SAMPLES[name]()
+        ref = reference_train(sample, C)
         got = _train(sample, C, SEP_TOL)
         if ref is None:
             assert got is None
@@ -285,9 +348,79 @@ class TestPruning:
 
     def test_few_lps_solved(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(svm, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+        solve = svm._solve_assignment
+        monkeypatch.setattr(svm, "_solve_assignment",
+                            lambda *args: calls.append(args) or solve(*args))
         train_hard(separable_sample())
         assert 1 <= len(calls) <= 40  # of 750
+
+
+def random_bounded_lp(rng):
+    """A small LP min c @ y, A @ y = b, 0 <= y <= upper with integer data,
+    so ties and degenerate vertices are common; some upper bounds are
+    inf, and b is 0 on about half of the rows."""
+    m, n = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    b = rng.integers(-3, 4, size=m) * (rng.random(m) < 0.5)
+    c = rng.integers(-3, 4, size=n).astype(float)
+    upper = np.where(rng.random(n) < 0.4, np.inf, rng.integers(0, 4, size=n))
+    return A, b.astype(float), c, upper
+
+
+def linprog_eq(A, b, c, upper):
+    res = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, None if u == np.inf else u)
+                                                       for u in upper], method="highs")
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status], res.fun
+
+
+class TestBoundedSimplex:
+    def test_matches_linprog(self):
+        rng = np.random.default_rng(11)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for _ in range(600):
+            A, b, c, upper = random_bounded_lp(rng)
+            status, y, pi, at_upper = _bounded_simplex(A, b, c, upper)
+            want, value = linprog_eq(A, b, c, upper)
+            assert status == want
+            seen[status] += 1
+            if status != OPTIMAL:
+                continue
+            assert c @ y == pytest.approx(value, abs=1e-9)
+            assert np.abs(A @ y - b).max() <= 1e-9
+            assert (y >= -1e-12).all() and (y <= upper + 1e-12).all()
+            assert (y[at_upper] == upper[at_upper]).all()
+            # the multipliers certify the optimum: no column can improve it
+            d = c - pi @ A
+            assert (d[~at_upper & (y < upper)] >= -1e-9).all()
+            assert (d[at_upper] <= 1e-9).all()
+            assert pi @ b == pytest.approx(value - upper[at_upper] @ d[at_upper], abs=1e-9)
+        assert min(seen.values()) >= 50, seen
+
+    def test_degenerate_vertex(self):
+        # every vertex of this LP is y = 0, and many bases represent it
+        A = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+        status, y, pi, _ = _bounded_simplex(A, np.zeros(2), np.array([-1.0, 1.0, 1.0, 1.0]),
+                                            np.full(4, np.inf))
+        assert status == OPTIMAL and (y == 0.0).all()
+        assert (np.array([-1.0, 1.0, 1.0, 1.0]) - pi @ A >= -1e-12).all()
+
+    def test_bound_flip(self):
+        # the cheapest column flips to its upper bound without a basis change
+        A = np.array([[1.0, 1.0, 1.0]])
+        status, y, _, at_upper = _bounded_simplex(A, np.array([3.0]), np.array([-2.0, -1.0, 0.0]),
+                                                  np.array([1.0, 1.0, 5.0]))
+        assert status == OPTIMAL and y.tolist() == [1.0, 1.0, 1.0]
+        assert at_upper.tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("A, b, c, upper, status", [
+        # y0 - y1 = 1 and y0 + y1 = -1 have no nonnegative solution
+        ([[1.0, -1.0], [1.0, 1.0]], [1.0, -1.0], [1.0, 1.0], [np.inf, np.inf], INFEASIBLE),
+        ([[1.0, -1.0]], [0.0], [-1.0, 0.0], [np.inf, np.inf], UNBOUNDED),
+        ([[1.0, -1.0]], [0.0], [-1.0, 0.0], [2.0, np.inf], OPTIMAL),
+    ])
+    def test_statuses(self, A, b, c, upper, status):
+        got = _bounded_simplex(np.array(A), np.array(b), np.array(c), np.array(upper))
+        assert got[0] == status
 
 
 class TestHardMargin:
@@ -326,6 +459,28 @@ class TestSoftMargin:
         for p in sample.points:
             assert classify(soft, p) == classify(hard, p)
         assert soft.slack_summary["alpha"] == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seeds", [(1, 101), (2, 102), (3, 103), (10, 110)])
+    def test_huge_C_reproduces_hard_margin(self, seeds):
+        # HiGHS reports numerical difficulties on these LPs, and flows of C
+        # near the float range overflow unless counted in units of C
+        sample = separable_sample(5, *seeds)
+        hard = train_hard(sample)
+        for C in (1e30, 1e100, 1e300, 1e307, 1e308, 1.7e308):
+            soft = train_soft(sample, C)
+            assert soft.assignment == hard.assignment
+            assert soft.margin == pytest.approx(hard.margin, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_optimum_nonincreasing_in_C(self, seed):
+        # no sector assignment separates these points; -inf is an optimum
+        # below the float range
+        X = np.random.default_rng(seed).normal(size=(10, 4))
+        sample = LabeledSample(tuple(TropicalPoint(tuple(r)) for r in X.tolist()), (0, 1) * 5)
+        objectives = [train_soft(sample, C).objective
+                      for C in (0.5, 1.0, 10.0, 1e6, 1e30, 1e100, 1e300, 1e308, 1.7e308)]
+        assert objectives[0] < 0.0
+        assert all(a >= b for a, b in zip(objectives, objectives[1:]))
 
     def test_mislabeled_point_stays_feasible(self):
         sample = separable_sample()
