@@ -43,7 +43,6 @@ from .svm import (
     training_accuracy,
 )
 from .treeio import (
-    DissimilarityMap,
     _build_tree,
     _leaf_names,
     _leaves_for,
@@ -300,7 +299,8 @@ def cmd_svm(args):
 def _read_newick_maps(path):
     """The cophenetic map of the tree on each non-blank line of a Newick
     file; a line that does not parse, or whose tree has no map (fewer than
-    2 leaves, or path lengths that overflow), is reported as path:line."""
+    2 leaves, or path lengths that overflow), is reported as path:line, and
+    so is the first tree whose leaf names differ from the first tree's."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
@@ -312,6 +312,9 @@ def _read_newick_maps(path):
             maps.append(cophenetic(parse_newick(line)))
         except ValueError as exc:  # NewickError is a ValueError
             raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
+        if maps[-1].leaf_names != maps[0].leaf_names:
+            raise CliError(f"{path}:{lineno}: leaf names differ from the first tree's",
+                           EXIT_DIMENSION)
     if not maps:
         raise CliError(f"{path}: no trees", EXIT_PARSE)
     return maps
@@ -341,26 +344,26 @@ def cmd_tree(args):
         return emit("tree-newick2ultra", result, quiet=True if not args.out else args.quiet)
 
     if args.action == "ultra2newick":
-        rows = list(_read_maps(args))
-        verdicts = three_point_check([u.values for _, u in rows], tol=args.tol)
+        X, names = _read_maps(args)
+        verdicts = three_point_check(X, tol=args.tol)
         if not all(verdicts):
-            raise CliError(f"row {rows[verdicts.index(False)][0]} fails the three-point "
+            raise CliError(f"row {verdicts.index(False) + 1} fails the three-point "
                            "condition", EXIT_NOT_ULTRAMETRIC)
-        newicks = [serialize_newick(_build_tree(u)) for _, u in rows]
+        newicks = [serialize_newick(_build_tree(row, names)) for row in X]
         _write_lines(newicks, args.out)
         return emit("tree-ultra2newick", {"n_trees": len(newicks)},
                     quiet=True if not args.out else args.quiet)
 
     if args.action == "check":
-        maps = [u for _, u in _read_maps(args)]
-        verdicts = three_point_check([u.values for u in maps], tol=args.tol)
+        X, names = _read_maps(args)
+        verdicts = three_point_check(X, tol=args.tol)
         result = {
             "all_ultrametric": all(verdicts),
             "verdicts": verdicts,
-            "n_leaves": maps[0].n_leaves,
+            "n_leaves": len(names),
         }
-        if maps[0].n_leaves == 4 and all(verdicts):
-            ids = {topology_id(_build_tree(u)) for u in maps}
+        if len(names) == 4 and all(verdicts):
+            ids = {topology_id(_build_tree(row, names)) for row in X}
             result["topology_count"] = len(ids)
         return emit("tree-check", result, quiet=args.quiet)
 
@@ -385,22 +388,23 @@ def cmd_tree(args):
 
 
 def _read_maps(args):
-    """(row number, dissimilarity map) for each row of the input CSV, in order."""
-    for lineno, row in enumerate(read_points(args.input, args.header).tolist(), start=1):
-        try:
-            n = _leaves_for(len(row))
-        except ValueError:
-            raise CliError(
-                f"row {lineno}: length {len(row)} is not a binomial C(N,2)", EXIT_DIMENSION
-            )
-        if n < 3:
-            raise CliError(f"row {lineno}: a tree needs at least 3 leaves, got {n}",
-                           EXIT_DIMENSION)
-        try:
-            u = DissimilarityMap(n, tuple(row), tuple(_leaf_names(n)))
-        except ValueError as exc:
-            raise CliError(f"row {lineno}: {exc}", EXIT_PARSE)
-        yield lineno, u
+    """The input CSV as one (k, C(N, 2)) matrix of dissimilarity maps, and
+    the N leaf names; a bad width, fewer than 3 leaves or a negative entry
+    is reported by its first row."""
+    X = read_points(args.input, args.header)
+    try:
+        n = _leaves_for(X.shape[1])
+    except ValueError:
+        raise CliError(
+            f"row 1: length {X.shape[1]} is not a binomial C(N,2)", EXIT_DIMENSION
+        )
+    if n < 3:
+        raise CliError(f"row 1: a tree needs at least 3 leaves, got {n}", EXIT_DIMENSION)
+    negative = (X < 0).any(axis=1)
+    if negative.any():
+        raise CliError(f"row {negative.argmax() + 1}: dissimilarities must be nonnegative",
+                       EXIT_PARSE)
+    return X, _leaf_names(n)
 
 
 def cmd_lda(args):

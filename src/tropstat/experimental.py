@@ -3,12 +3,15 @@
 Both features evaluate their stated objectives exactly but optimize them
 with replaceable heuristics; every serialized output carries an
 EXPERIMENTAL flag.
+
+An LDA candidate is a tropical segment, a geodesic of the tropical metric
+(Develin & Sturmfels, *Tropical convexity*, 2004), so the constrained
+Fermat-Weber point of a class's projections is their median along it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +19,6 @@ import numpy as np
 from .core import (
     TropicalPoint,
     TropicalPolytope,
-    _combine,
     _distances,
     _project,
     _sample_arrays,
@@ -33,9 +35,7 @@ MAX_CYCLES = 60
 CYCLE_TOL = 1e-10
 SPAN = 4.0
 
-# LDA local search: the lattice resolution of each candidate's inner
-# minima, and the number of trial moves
-LDA_GRID = 8
+# LDA local search: the number of trial moves
 LDA_MAX_ITERS = 120
 
 
@@ -132,29 +132,24 @@ def fit_regression(data, seed: int = 0) -> RegressionModel:
     return RegressionModel(tuple(float(b) for b in best_beta), float(best_val))
 
 
-def _lattice(grid: int, spread: float, s: int):
-    """Nested coefficient lattice: doubling grid refines the previous one."""
-    axis = [-spread + 2.0 * spread * k / grid for k in range(grid + 1)]
-    return product(*([axis] * (s - 1)))
+def _lda(D: np.ndarray, X1: np.ndarray, X2: np.ndarray, w=None):
+    """The LDA candidate w, with the two canonical vertex rows D = (a, b),
+    for the class matrices X1 and X2.
 
-
-def _lda(D: np.ndarray, X1: np.ndarray, X2: np.ndarray, grid: int, w=None):
-    """The LDA candidate w, with canonical vertex rows D, for the class
-    matrices X1 and X2.
-
-    Each class is projected onto the polytope in one call, and its
-    constrained Fermat-Weber point mu'_k is the first best point of a
-    deterministic lattice of tropical combinations of the vertices.
+    Each class is projected onto the segment [a, b] in one call.  With g =
+    d(a, p) for each projection p, d(p, q) = |g_p - g_q| on the segment, so
+    pairing the projections from both ends of the order g and applying the
+    triangle inequality gives sum_i d(z, p_i) >= sum_i |g_i - g_med| for
+    every z in the torus.  The projection at the lower median of g (stable
+    order) attains that bound: it is the constrained Fermat-Weber point
+    mu'_k, and s_k its sum of distances, added left to right.
     """
-    spread = max(float(_distances(D[:, None, :], D).max()), 1.0)
-    lam = np.array([(0.0,) + tail for tail in _lattice(grid, spread, len(D))])
-    Z = _combine(lam, D)
 
     def inner_min(X):
         proj = _project(X, D)[1]
-        sums = [sum(row) for row in _distances(Z[:, None, :], proj).tolist()]
-        k = sums.index(min(sums))
-        return Z[k], sums[k]
+        order = np.argsort(_distances(proj, D[0]), kind="stable")
+        mu = proj[order[(len(order) - 1) // 2]]
+        return mu, sum(_distances(proj, mu).tolist())
 
     (mu1, s1), (mu2, s2) = inner_min(X1), inner_min(X2)
     return LdaCandidate(
@@ -171,16 +166,14 @@ def lda_objective(
     w: TropicalPolytope,
     S1: Sequence[TropicalPoint],
     S2: Sequence[TropicalPoint],
-    grid: int = 8,
 ) -> LdaCandidate:
-    """Evaluate the tropical LDA objective on a candidate polytope.
-
-    The constrained Fermat-Weber points mu'_k are approximated over a
-    deterministic lattice of tropical combinations of w's vertices.
-    """
+    """Evaluate the tropical LDA objective on a candidate polytope with two
+    vertices; the constrained Fermat-Weber points mu'_k are exact."""
+    if w.n_vertices != 2:
+        raise ValueError(f"an LDA polytope has 2 vertices, got {w.n_vertices}")
     if not S1 or not S2:
         raise ValueError("both samples must be nonempty")
-    return _lda(w.matrix(), _sample_arrays(S1), _sample_arrays(S2), grid, w)
+    return _lda(w.matrix(), _sample_arrays(S1), _sample_arrays(S2), w)
 
 
 def fit_lda(
@@ -190,7 +183,8 @@ def fit_lda(
 ) -> LdaCandidate:
     """Local search over 2-vertex polytopes seeded at the class FW points;
     the result depends on which optimal FW point fermat_weber returns, not
-    only on the FW optimum, since a sample's FW points need not be unique."""
+    only on the FW optimum, since a sample's FW points need not be unique,
+    and on mu'_k being the lower median; s_k depends on neither."""
     if not S1 or not S2:
         raise ValueError("both samples must be nonempty")
     rng = np.random.default_rng(seed)
@@ -202,7 +196,7 @@ def fit_lda(
     scale = 0.1 * max(float(np.ptp(np.vstack([X1, X2]))), 1.0)
 
     def evaluate(verts):  # the polytope is built for the winner only
-        return _lda(np.array([v - v[0] for v in verts]), X1, X2, LDA_GRID)
+        return _lda(np.array([v - v[0] for v in verts]), X1, X2)
 
     verts = [v1.copy(), v2.copy()]
     best = evaluate(verts)

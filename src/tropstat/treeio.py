@@ -328,15 +328,15 @@ def ultrametric_to_tree(u: DissimilarityMap, tol: float = STRUCT_TOL) -> PhyloTr
     """
     if not three_point_check(u, tol=tol):
         raise ValueError("input fails the three-point condition")
-    return _build_tree(u)
+    return _build_tree(u.values, u.leaf_names)
 
 
-def _build_tree(u: DissimilarityMap) -> PhyloTree:
-    """ultrametric_to_tree without the three-point check, for callers that
-    have already made it."""
-    nodes = [TreeNode(name=name) for name in u.leaf_names]
-    heights = [0.0] * u.n_leaves
-    for a, b, d in _single_linkage(_square(u.values, np.inf)):
+def _build_tree(values, names) -> PhyloTree:
+    """ultrametric_to_tree of the pair vector values over the leaf names,
+    without the three-point check, for callers that have already made it."""
+    nodes = [TreeNode(name=name) for name in names]
+    heights = [0.0] * len(names)
+    for a, b, d in _single_linkage(_square(values, np.inf)):
         h = d / 2.0
         nodes[a].length = h - heights[a]
         nodes[b].length = h - heights[b]

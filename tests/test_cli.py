@@ -459,6 +459,27 @@ class TestTreeCommands:
         assert envelope_of(out)["result"]["message"] == (
             "row 1: a tree needs at least 3 leaves, got 2")
 
+    @pytest.mark.parametrize("action", ["check", "ultra2newick"])
+    @pytest.mark.parametrize("text, code, message", [
+        ("1,2\n", 3, "row 1: length 2 is not a binomial C(N,2)"),
+        ("1,2,2\n1,-2,2\n-1,2,2\n", 2, "row 2: dissimilarities must be nonnegative"),
+    ])
+    def test_bad_rows_name_the_first(self, capsys, tmp_path, action, text, code, message):
+        data = tmp_path / "u.csv"
+        data.write_text(text)
+        got, out = run(capsys, "tree", action, str(data))
+        assert got == code
+        assert envelope_of(out)["result"]["message"] == message
+
+    def test_newick_leaf_sets_must_agree(self, capsys, tmp_path):
+        nw = tmp_path / "nw.txt"
+        nw.write_text("((a:1,b:1):1,c:2);\n\n((x:1,y:1):1,z:2);\n"
+                      "((a:1,b:1):1,(c:0.5,d:0.5):1.5);\n")
+        code, out = run(capsys, "tree", "newick2ultra", str(nw))
+        assert code == 3
+        assert envelope_of(out)["result"]["message"] == (
+            f"{nw}:3: leaf names differ from the first tree's")
+
     @pytest.mark.parametrize("height", ["nan", "inf"])
     def test_simulate_non_finite_height_is_5(self, capsys, height):
         code, out = run(capsys, "tree", "simulate", "--n", "4", "--count", "2",

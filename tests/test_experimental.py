@@ -14,9 +14,12 @@ from tropstat.experimental import (
     trop_predict,
 )
 from tropstat import (
+    TropicalPoint,
     TropicalPolytope,
     canonicalize,
     fermat_weber,
+    in_polytope,
+    project_onto_polytope,
     trop_distance,
 )
 from conftest import (
@@ -28,8 +31,9 @@ from conftest import (
 
 
 def reference_lda(w, S1, S2, grid):
-    """The per-point lda_objective that the array version replaced:
-    (mu1, mu2, s1, s2, objective)."""
+    """The best point of a deterministic lattice of tropical combinations
+    of w's vertices for each class's projections, an upper bound on the
+    exact constrained Fermat-Weber sum: (mu1, mu2, s1, s2, objective)."""
     D = w.matrix()
     proj1 = [reference_projection(u, D)[1] for u in S1]
     proj2 = [reference_projection(u, D)[1] for u in S2]
@@ -53,8 +57,26 @@ def reference_lda(w, S1, S2, grid):
     return mu1.coords, mu2.coords, s1, s2, reference_distance(mu1, mu2) - s1 - s2
 
 
-def reference_fit_lda(S1, S2, seed, grid, max_iters):
-    """fit_lda over reference_lda, building a polytope per trial."""
+def reference_median_lda(w, S1, S2):
+    """The per-point exact lda_objective: each class's projection at the
+    lower median of its distances from the first vertex, and that point's
+    distance sum (mu1, mu2, s1, s2, objective)."""
+    D = w.matrix()
+    a = w.vertices[0]
+
+    def inner_min(S):
+        projs = [reference_projection(u, D)[1] for u in S]
+        g = [reference_distance(p, a) for p in projs]
+        mu = projs[sorted(range(len(projs)), key=g.__getitem__)[(len(projs) - 1) // 2]]
+        return mu, sum(reference_distance(p, mu) for p in projs)
+
+    mu1, s1 = inner_min(S1)
+    mu2, s2 = inner_min(S2)
+    return mu1.coords, mu2.coords, s1, s2, reference_distance(mu1, mu2) - s1 - s2
+
+
+def reference_fit_lda(S1, S2, seed, max_iters):
+    """fit_lda over reference_median_lda, building a polytope per trial."""
     rng = np.random.default_rng(seed)
     v1 = fermat_weber(S1).point.as_array()
     v2 = fermat_weber(S2).point.as_array()
@@ -65,7 +87,7 @@ def reference_fit_lda(S1, S2, seed, grid, max_iters):
 
     def evaluate(a, b):
         w = TropicalPolytope((canonicalize(a), canonicalize(b)))
-        return reference_lda(w, S1, S2, grid) + (w.matrix().tolist(),)
+        return reference_median_lda(w, S1, S2) + (w.matrix().tolist(),)
 
     best = evaluate(v1, v2)
     verts = [v1.copy(), v2.copy()]
@@ -81,10 +103,31 @@ def reference_fit_lda(S1, S2, seed, grid, max_iters):
     return best
 
 
-def shorten_lda(monkeypatch, grid, max_iters):
-    """Set fit_lda's lattice resolution and number of trial moves."""
-    monkeypatch.setattr(experimental, "LDA_GRID", grid)
+def shorten_lda(monkeypatch, max_iters):
+    """Set fit_lda's number of trial moves."""
     monkeypatch.setattr(experimental, "LDA_MAX_ITERS", max_iters)
+
+
+def lda_cases(seed, count):
+    """(segment, class 1, class 2) triples cycling through ultrametrics on
+    5 leaves, Gaussian rows at scales 0.1-10 and integer rows in {0, 1, 2}
+    (many ties); classes hold 1-9 points, and every fourth case has a class
+    of one point."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([p.coords for p in ultrametric_points(5, seed, 200)])
+    for t in range(count):
+        n1, n2 = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        if t % 4 == 3:
+            n1 = 1
+        kind = t % 3
+        if kind == 0:
+            X = pool[rng.integers(0, len(pool), size=n1 + n2 + 2)]
+        elif kind == 1:
+            X = rng.normal(scale=10.0 ** rng.uniform(-1, 1), size=(n1 + n2 + 2, int(rng.integers(3, 8))))
+        else:
+            X = rng.integers(0, 3, size=(n1 + n2 + 2, int(rng.integers(3, 7)))).astype(float)
+        P = [TropicalPoint(tuple(r)) for r in X.tolist()]
+        yield TropicalPolytope(tuple(P[:2])), P[2 : 2 + n1], P[2 + n1 :]
 
 
 def candidate_tuple(c):
@@ -142,51 +185,53 @@ class TestLda:
         S1 = ultrametric_points(4, 1, 3)
         S2 = ultrametric_points(4, 2, 3)
         w = TropicalPolytope((S1[0], S2[0]))
-        cand = lda_objective(w, S1, S2, grid=4)
+        cand = lda_objective(w, S1, S2)
         assert cand.objective == pytest.approx(
             trop_distance(cand.mu1, cand.mu2) - cand.s1 - cand.s2, abs=1e-9
         )
         assert cand.experimental is True
 
     def test_identical_classes_nonpositive(self, monkeypatch):
-        shorten_lda(monkeypatch, 4, 10)
+        shorten_lda(monkeypatch, 10)
         S = ultrametric_points(4, 3, 4)
         cand = fit_lda(S, S, seed=0)
         assert cand.objective <= 1e-9
 
-    def test_nested_lattice_refinement_never_hurts(self):
-        S1 = ultrametric_points(4, 4, 3)
-        S2 = ultrametric_points(4, 5, 3)
-        w = TropicalPolytope((S1[0], S2[0]))
-        coarse = lda_objective(w, S1, S2, grid=4)
-        fine = lda_objective(w, S1, S2, grid=8)
-        # the fine lattice contains the coarse one, so inner minima improve
-        assert fine.s1 <= coarse.s1 + 1e-9
-        assert fine.s2 <= coarse.s2 + 1e-9
-
     def test_seeded_determinism(self, monkeypatch):
-        shorten_lda(monkeypatch, 4, 15)
+        shorten_lda(monkeypatch, 15)
         S1 = ultrametric_points(4, 6, 3)
         S2 = ultrametric_points(4, 7, 3)
         a = fit_lda(S1, S2, seed=9)
         b = fit_lda(S1, S2, seed=9)
         assert a.objective == b.objective
 
-    @pytest.mark.parametrize("grid", [3, 8])
-    def test_objective_bit_for_bit(self, grid):
-        for S in seeded_samples(4, 9):
-            S1, S2 = S[: len(S) // 2], S[len(S) // 2 :]
-            for w in (TropicalPolytope((S[0], S[-1])), TropicalPolytope(tuple(S[1:4]))):
-                cand = lda_objective(w, S1, S2, grid=grid)
-                assert candidate_tuple(cand) == reference_lda(w, S1, S2, grid)
-                assert cand.polytope is w
+    def test_constrained_fermat_weber_points_are_exact(self):
+        """mu'_k is the median reference bit for bit, lies on the segment,
+        has the Fermat-Weber sum of the class's projections, and does no
+        worse than any point of the coefficient lattice."""
+        for w, S1, S2 in lda_cases(11, 1000):
+            cand = lda_objective(w, S1, S2)
+            assert candidate_tuple(cand) == reference_median_lda(w, S1, S2)
+            assert cand.polytope is w
+            lattice = [reference_lda(w, S1, S2, grid) for grid in (3, 8, 16)]
+            for mu, s, S, k in ((cand.mu1, cand.s1, S1, 2), (cand.mu2, cand.s2, S2, 3)):
+                fw = fermat_weber([project_onto_polytope(u, w) for u in S]).objective
+                assert abs(s - fw) <= 1e-9 * fw + 1e-12, (s, fw)
+                assert in_polytope(mu, w, tol=1e-9)
+                assert all(s <= ref[k] + 1e-9 * ref[k] + 1e-12 for ref in lattice)
+
+    @pytest.mark.parametrize("n_vertices", [1, 3])
+    def test_objective_needs_two_vertices(self, n_vertices):
+        S = ultrametric_points(4, 10, 4)
+        with pytest.raises(ValueError, match="2 vertices"):
+            lda_objective(TropicalPolytope(tuple(S[:n_vertices])), S[:2], S[2:])
 
     def test_fit_bit_for_bit(self, monkeypatch):
-        shorten_lda(monkeypatch, 4, 15)
+        shorten_lda(monkeypatch, 15)
         for k, S in enumerate(seeded_samples(5, 3)):
             half = len(S) // 2
             cand = fit_lda(S[:half], S[half:], seed=k)
-            ref = reference_fit_lda(S[:half], S[half:], k, 4, 15)
+            ref = reference_fit_lda(S[:half], S[half:], k, 15)
             assert candidate_tuple(cand) == ref[:5]
             assert cand.polytope.matrix().tolist() == ref[5]
 

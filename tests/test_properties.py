@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstat import (
-    DissimilarityMap,
     TropicalPoint,
     TropicalPolytope,
     cophenetic,
@@ -38,8 +37,7 @@ def ultrametric_pairs(draw):
     names = tuple(_leaf_names(n))
     dissimilarity = st.lists(st.floats(0.0, 10.0), min_size=n * (n - 1) // 2,
                              max_size=n * (n - 1) // 2)
-    return [cophenetic(_build_tree(DissimilarityMap(n, draw(dissimilarity), names))).as_array()
-            for _ in range(2)]
+    return [cophenetic(_build_tree(draw(dissimilarity), names)).as_array() for _ in range(2)]
 
 
 @st.composite

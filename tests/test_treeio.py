@@ -417,7 +417,7 @@ class TestPostorderWalks:
         n = sys.getrecursionlimit() + 100
         want = 2.0 * np.triu_indices(n, 1)[1] / (n - 1)
         u = DissimilarityMap(n, tuple(want.tolist()), tuple(_leaf_names(n)))
-        t = _build_tree(u)
+        t = _build_tree(u.values, u.leaf_names)
         text = serialize_newick(t)
         assert text.startswith("(" * (n - 1) + "t0001:")
         assert topology_id(t).count("(") == n - 1
