@@ -4,8 +4,8 @@ Every command prints one JSON result envelope to stdout (floats rendered
 with 12 significant digits, keys sorted, so seeded runs are byte
 deterministic) and communicates failure through the exit-code contract:
 
-    0 ok, 2 parse error, 3 dimension mismatch, 4 solver failure,
-    5 bad parameter, 6 not separable, 7 not ultrametric.
+    0 ok, 2 parse error, 3 dimension mismatch, 4 solver failure or out
+    of memory, 5 bad parameter, 6 not separable, 7 not ultrametric.
 
 A command runs with numpy's floating-point errors raised, so an overflow
 or a non-finite intermediate exits 4, and the envelope is strict JSON.
@@ -339,7 +339,6 @@ def cmd_tree(args):
             "n_trees": len(vectors),
             "n_leaves": vectors[0].n_leaves,
             "leaf_names": list(vectors[0].leaf_names),
-            "vectors": [list(u.values) for u in vectors],
         }
         return emit("tree-newick2ultra", result, quiet=True if not args.out else args.quiet)
 
@@ -527,15 +526,13 @@ def main(argv=None) -> int:
         # an unreadable input file, or an unwritable --out, --out-prefix
         # or --model-out
         message, code = str(exc), EXIT_PARSE
-    except RecursionError:
-        # the Newick parser recurses once per nesting level
-        message = f"tree nests deeper than the recursion limit ({sys.getrecursionlimit()})"
-        code = EXIT_PARSE
     except NotSeparableError as exc:
         message, code = str(exc), EXIT_NOT_SEPARABLE
     except (RuntimeError, ArithmeticError) as exc:
         # a solver failure, or a value that overflows or is not finite
         message, code = str(exc), EXIT_SOLVER
+    except MemoryError as exc:  # numpy's names the array it failed to allocate
+        message, code = str(exc) or "out of memory", EXIT_SOLVER
     emit(args.command, {"message": message}, status="error", quiet=False)
     return code
 

@@ -57,9 +57,8 @@ def _tree_stream(rng: np.random.Generator, n: int, height: float) -> Iterator[Ph
             na.length = t - ha
             nb.length = t - hb
             parent = TreeNode(children=[na, nb])
-            lineages = [
-                lin for k, lin in enumerate(lineages) if k not in (i, j)
-            ] + [(parent, float(t))]
+            del lineages[j], lineages[i]  # i < j
+            lineages.append((parent, float(t)))
         yield PhyloTree(lineages[0][0])
 
 

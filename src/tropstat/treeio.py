@@ -9,12 +9,18 @@ are 1-based (matching the usual [N] convention); vector positions are
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 STRUCT_TOL = 1e-9
+MAX_DEPTH = 1000  # most open clades parse_newick accepts
+
+# a label or a branch length runs to the next delimiter
+_LABEL = re.compile(r"[^,():;]*")
+_LENGTH = re.compile(r":([^,():;]*)")
 
 
 class NewickError(ValueError):
@@ -68,67 +74,61 @@ def _postorder(root: TreeNode) -> list[TreeNode]:
 
 
 def parse_newick(text: str) -> PhyloTree:
-    """Parse one Newick tree ("name:length" style, semicolon-terminated)."""
+    """Parse one Newick tree ("name:length" style, semicolon-terminated).
+
+    One left-to-right scan with a stack of the open clades; a tree nesting
+    more than MAX_DEPTH clades is refused at the "(" that opens one too many.
+    """
     s = text.strip()
-    pos = 0
-
-    def error(msg, at):
-        raise NewickError(msg, at)
-
-    def parse_clade(i: int) -> tuple[TreeNode, int]:
-        node = TreeNode()
-        if i < len(s) and s[i] == "(":
-            open_at = i
-            i += 1
-            while True:
-                child, i = parse_clade(i)
-                node.children.append(child)
-                if i >= len(s):
-                    error("unbalanced parentheses", open_at)
-                if s[i] == ",":
-                    i += 1
-                    continue
-                if s[i] == ")":
-                    i += 1
-                    break
-                error(f"unexpected character {s[i]!r}", i)
-        # optional label
-        j = i
-        while j < len(s) and s[j] not in ",():;":
-            j += 1
-        label = s[i:j].strip()
-        if label:
-            node.name = label
-        i = j
-        # optional branch length
-        if i < len(s) and s[i] == ":":
-            i += 1
-            j = i
-            while j < len(s) and s[j] not in ",();:":
-                j += 1
-            try:
-                length = float(s[i:j])
-            except ValueError:
-                error(f"bad branch length {s[i:j]!r}", i)
-            if not math.isfinite(length):
-                error("branch length must be finite", i)
-            if length < 0:
-                error("negative branch length", i)
-            node.length = length
-            i = j
-        if node.is_leaf and not node.name:
-            error("unnamed leaf", i)
-        return node, i
-
     if not s:
         raise NewickError("empty input", 0)
-    root, pos = parse_clade(pos)
-    if pos >= len(s) or s[pos] != ";":
+    stack: list[tuple[TreeNode, int]] = []  # open clades, each with its "(" offset
+    node, pos = None, 0
+    while True:
+        if node is None:  # a clade starts at pos
+            if s.startswith("(", pos):
+                if len(stack) == MAX_DEPTH:
+                    raise NewickError(f"tree nests deeper than {MAX_DEPTH} levels", pos)
+                stack.append((TreeNode(), pos))
+                pos += 1
+                continue
+            node = TreeNode()
+        # node's children are read; its optional label and branch length follow
+        label = _LABEL.match(s, pos)
+        node.name = label.group().strip() or None
+        pos = label.end()
+        if length := _LENGTH.match(s, pos):
+            at = length.start(1)
+            try:
+                node.length = float(length.group(1))
+            except ValueError:
+                raise NewickError(f"bad branch length {length.group(1)!r}", at) from None
+            if not math.isfinite(node.length):
+                raise NewickError("branch length must be finite", at)
+            if node.length < 0:
+                raise NewickError("negative branch length", at)
+            pos = length.end()
+        if node.is_leaf and not node.name:
+            raise NewickError("unnamed leaf", pos)
+        if not stack:
+            break
+        parent, open_at = stack[-1]
+        parent.children.append(node)
+        if s.startswith(",", pos):
+            node = None
+        elif s.startswith(")", pos):
+            node = stack.pop()[0]
+        elif pos == len(s):
+            raise NewickError("unbalanced parentheses", open_at)
+        else:
+            raise NewickError(f"unexpected character {s[pos]!r}", pos)
+        pos += 1
+    if not s.startswith(";", pos):
         raise NewickError("missing terminating semicolon", pos)
-    if s[pos + 1 :].strip():
+    if pos + 1 < len(s):  # s is stripped, so anything after ";" is garbage
         raise NewickError("trailing garbage after semicolon", pos + 1)
     try:
-        return PhyloTree(root)
+        return PhyloTree(node)
     except ValueError as exc:
         raise NewickError(str(exc), 0) from exc
 

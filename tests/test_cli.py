@@ -172,9 +172,10 @@ class TestExitCodes:
         assert env["status"] == "error"
 
     def test_deep_tree_is_2(self, capsys, tmp_path, schema):
-        # a caterpillar nests once per leaf, past the recursion limit
+        # a caterpillar on 1100 leaves nests 1099 clades, past the parser's
+        # 1000; the 1001st "(" is at offset 1000
         text = "t1"
-        for k in range(2, sys.getrecursionlimit() + 101):
+        for k in range(2, 1101):
             text = f"({text}:1,t{k}:{k - 1})"
         deep = tmp_path / "deep.nwk"
         deep.write_text(text + ";\n")
@@ -186,7 +187,31 @@ class TestExitCodes:
         env = envelope_of(captured.out)
         jsonschema.validate(env, schema)
         assert env["command"] == "tree"
-        assert "recursion limit" in env["result"]["message"]
+        assert env["result"]["message"] == (
+            f"{deep}:1: tree nests deeper than 1000 levels (offset 1000)"
+        )
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.98 GiB for an array"),
+         "Unable to allocate 2.98 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_out_of_memory_is_4(self, capsys, tmp_path, schema, monkeypatch, error, message):
+        def fermat_weber(points):
+            raise error
+
+        monkeypatch.setattr(cli, "fermat_weber", fermat_weber)
+        pts = tmp_path / "p.csv"
+        write_u4_csv(pts)
+        code = main(["fw", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1
+        env = envelope_of(captured.out)
+        jsonschema.validate(env, schema)
+        assert env["status"] == "error"
+        assert env["result"]["message"] == message
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

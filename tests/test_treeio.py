@@ -1,5 +1,6 @@
 """Newick I/O, cophenetic maps, three-point checks, tree reconstruction."""
 
+import math
 import sys
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from tropstat import (
     DissimilarityMap,
     NewickError,
+    SimConfig,
     UltrametricPoint,
     cophenetic,
     index_pair,
@@ -18,6 +20,7 @@ from tropstat import (
     pair_index,
     parse_newick,
     serialize_newick,
+    simulate_equidistant,
     three_point_check,
     topology_id,
     ultrametric_to_tree,
@@ -160,6 +163,122 @@ def reference_topology_id(t):
     return walk(t.root)
 
 
+def reference_parse_newick(text):
+    """The former recursive parser, kept as the reference for the scan."""
+    s = text.strip()
+    pos = 0
+
+    def error(msg, at):
+        raise NewickError(msg, at)
+
+    def parse_clade(i):
+        node = TreeNode()
+        if i < len(s) and s[i] == "(":
+            open_at = i
+            i += 1
+            while True:
+                child, i = parse_clade(i)
+                node.children.append(child)
+                if i >= len(s):
+                    error("unbalanced parentheses", open_at)
+                if s[i] == ",":
+                    i += 1
+                    continue
+                if s[i] == ")":
+                    i += 1
+                    break
+                error(f"unexpected character {s[i]!r}", i)
+        # optional label
+        j = i
+        while j < len(s) and s[j] not in ",():;":
+            j += 1
+        label = s[i:j].strip()
+        if label:
+            node.name = label
+        i = j
+        # optional branch length
+        if i < len(s) and s[i] == ":":
+            i += 1
+            j = i
+            while j < len(s) and s[j] not in ",();:":
+                j += 1
+            try:
+                length = float(s[i:j])
+            except ValueError:
+                error(f"bad branch length {s[i:j]!r}", i)
+            if not math.isfinite(length):
+                error("branch length must be finite", i)
+            if length < 0:
+                error("negative branch length", i)
+            node.length = length
+            i = j
+        if node.is_leaf and not node.name:
+            error("unnamed leaf", i)
+        return node, i
+
+    if not s:
+        raise NewickError("empty input", 0)
+    root, pos = parse_clade(pos)
+    if pos >= len(s) or s[pos] != ";":
+        raise NewickError("missing terminating semicolon", pos)
+    if s[pos + 1 :].strip():
+        raise NewickError("trailing garbage after semicolon", pos + 1)
+    try:
+        return PhyloTree(root)
+    except ValueError as exc:
+        raise NewickError(str(exc), 0) from exc
+
+
+NEWICK_EDGE_CASES = [
+    "", " \t\n", ";", "a;", "a", " a:1 ; ", "(a,b);", "((a,b);", "(a,b));",
+    "(a,b)", "(a,b); x", "(a,b);;", "(a,,b);", "(,b);", "(a:,b);", "(a:1:2,b);",
+    "(a:inf,b);", "(a:nan,b);", "(a:1e400,b);", "(a:-1,b);", "(a:-0,b:+1_0);",
+    "(a,a);", "(a)b(c);", "(a b:1, c :2) root :3 ;", "((a));", "()x;",
+    "(a:\u00a01\u2003,b\u3000);", "(a,b)c:d;", "((a,b)(c,d));", "(a,b",
+    "((a:1,b:1):1,c", "(a,(b,c", "((a,b),(c,a));",
+]
+
+
+def newick_corpus():
+    """300 simulated trees (every other one with internal labels), 4000
+    seeded single-character insertions, deletions and replacements of
+    them, and the edge cases."""
+    trees = []
+    for k in range(300):
+        tree = simulate_equidistant(SimConfig(3 + k % 12, 1.0, k))[0]
+        if k % 2:
+            for node in treeio._postorder(tree.root):
+                if node.children:
+                    node.name = f"n{len(node.children)}"
+        trees.append(serialize_newick(tree))
+    rng = np.random.default_rng(19)
+    mutants = []
+    for _ in range(4000):
+        text = trees[rng.integers(len(trees))]
+        i = int(rng.integers(len(text) + 1))
+        c = "(),:;t0 .e-n"[rng.integers(12)]
+        inserted = text[:i] + c + text[i:]
+        replaced, deleted = text[:i] + c + text[i + 1 :], text[:i] + text[i + 1 :]
+        mutants.append((inserted, replaced, deleted)[rng.integers(3)])
+    return trees + mutants + NEWICK_EDGE_CASES
+
+
+def parse_outcome(parse, text):
+    """The parsed tree, or the NewickError message and offset."""
+    try:
+        tree = parse(text)
+    except NewickError as exc:
+        return str(exc), exc.offset
+    return tree.root, serialize_newick(tree), topology_id(tree)
+
+
+def caterpillar(n):
+    """The equidistant caterpillar on n leaves, nesting n - 1 clades, and
+    its map: leaf k joins at height (k - 1) / (n - 1), k >= 2."""
+    want = 2.0 * np.triu_indices(n, 1)[1] / (n - 1)
+    return serialize_newick(_build_tree(want, _leaf_names(n))), want
+
+
 @st.composite
 def newick_strings(draw):
     """A random Newick tree on 2-40 uniquely named leaves: multifurcations,
@@ -217,6 +336,39 @@ class TestParsing:
     def test_duplicate_leaves(self):
         with pytest.raises(NewickError):
             parse_newick("(a:1,a:1);")
+
+    def test_scan_matches_the_recursive_reference(self):
+        corpus, parsed = newick_corpus(), 0
+        for text in corpus:
+            got = parse_outcome(parse_newick, text)
+            assert got == parse_outcome(reference_parse_newick, text), repr(text)
+            parsed += isinstance(got[0], TreeNode)
+        assert 300 < parsed < len(corpus) - 1000  # both outcomes well exercised
+
+    def test_parses_max_depth_open_clades(self):
+        n = treeio.MAX_DEPTH + 1
+        text, want = caterpillar(n)
+        assert text.startswith("(" * treeio.MAX_DEPTH + "t0001:")
+        t = parse_newick(text)
+        assert serialize_newick(t) == text
+        got = cophenetic(t)
+        assert got.leaf_names == tuple(_leaf_names(n))
+        assert np.max(np.abs(got.as_array() - want)) < 1e-12
+
+    def test_refuses_one_more_open_clade(self):
+        text, _ = caterpillar(treeio.MAX_DEPTH + 2)
+        with pytest.raises(NewickError) as exc:
+            parse_newick(text)
+        assert str(exc.value) == "tree nests deeper than 1000 levels (offset 1000)"
+        # the limit counts open clades, not "(" characters
+        k = treeio.MAX_DEPTH - 1
+        outer = "(" * k, "".join(f",u{j})" for j in range(k)) + ";"
+        inner = "(a,b),(c,d)"
+        assert parse_newick(inner.join(outer)).n_leaves == 4 + k
+        inner = "(a,b),((c,d),e)"
+        with pytest.raises(NewickError) as exc:
+            parse_newick(inner.join(outer))
+        assert exc.value.offset == k + inner.index("((") + 1
 
     def test_serialize_round_trip(self, fig_left_tree):
         text = serialize_newick(fig_left_tree)
