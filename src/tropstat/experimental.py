@@ -1,8 +1,8 @@
 """Heuristics for the open-problem formulations: tropical LDA and regression.
 
 Both features evaluate their stated objectives exactly but optimize them
-with replaceable heuristics; every serialized output carries an
-EXPERIMENTAL flag.
+with replaceable heuristics, regression by exact coordinate steps; every
+serialized output carries an EXPERIMENTAL flag.
 
 An LDA candidate is a tropical segment, a geodesic of the tropical metric
 (Develin & Sturmfels, *Tropical convexity*, 2004), so the constrained
@@ -28,12 +28,11 @@ from .location import fermat_weber
 
 EXPERIMENTAL = True
 
-# regression coordinate descent: starts, cycles per start, the improvement
-# below which a start stops, and the half-width of each line search
+# regression coordinate descent: starts, cycles (one step each) per start,
+# and the improvement below which a start stops
 N_STARTS = 4
 MAX_CYCLES = 60
 CYCLE_TOL = 1e-10
-SPAN = 4.0
 
 # LDA local search: the number of trial moves
 LDA_MAX_ITERS = 120
@@ -73,63 +72,60 @@ def regression_objective(beta, data) -> float:
     return sum((trop_predict(beta, x) - y) ** 2 for x, y in data)
 
 
-def _golden_section(fun, lo, hi, iters=60):
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-    mid = (a + b) / 2.0
-    return mid, fun(mid)
+def _line_min(b, r) -> float:
+    """A minimizer of f(t) = sum_i (max(t, b_i) - r_i)^2, constant below
+    every breakpoint b.  Past the m lowest (stable order), f is
+    m (t - mean_m)^2 + M2_m + the rest's (b_i - r_i)^2, minimal at mean_m
+    clipped to the stretch; M2_m, the squared deviations of those r about
+    their mean, adds nonnegative increments, so no offset of all r cancels."""
+    order = np.argsort(b, kind="stable")
+    b, r = b[order], r[order]
+    m = np.arange(1.0, len(b) + 1)
+    mean = np.cumsum(r) / m
+    m2 = np.cumsum((m - 1) / m * (r - np.concatenate((mean[:1], mean[:-1]))) ** 2)
+    rest = np.concatenate((np.cumsum(((b - r) ** 2)[::-1])[-2::-1], [0.0]))
+    t = np.clip(mean, b, np.append(b[1:], np.inf))
+    return float(t[np.argmin(m * (t - mean) ** 2 + m2 + rest)])
 
 
 def fit_regression(data, seed: int = 0) -> RegressionModel:
-    """Cyclic coordinate descent with golden-section line search per beta."""
+    """Coordinate descent from N_STARTS starts.  Along beta_k = t point i
+    predicts max(t, o_i - x_ik) + x_ik, o_i its largest other term, so
+    `_line_min` minimizes exactly; each cycle takes the step along the beta_k
+    that lowers the recomputed objective most, if any (Gauss-Southwell)."""
     if not data:
         raise ValueError("empty data")
-    e = len(data[0][0])
-    ys = [y for _, y in data]
+    Z = np.array([(0.0, *x) for x, _ in data])
+    Y = np.array([y for _, y in data], dtype=float)
     rng = np.random.default_rng(seed)
+    heur = np.median(Y[:, None] - Z, axis=0)
+    scale = max(1.0, float(np.ptp(Y)))
+    starts = [heur] + [heur + rng.uniform(-scale, scale, size=len(heur))
+                       for _ in range(N_STARTS - 1)]
 
-    starts = []
-    med_y = float(np.median(ys))
-    heur = [med_y] + [
-        float(np.median([y - x[k] for x, y in data])) for k in range(e)
-    ]
-    starts.append(np.asarray(heur))
-    scale = max(1.0, float(np.ptp(ys)))
-    for _ in range(N_STARTS - 1):
-        starts.append(np.asarray(heur) + rng.uniform(-scale, scale, size=e + 1))
+    def objective(beta):
+        return float((((beta + Z).max(axis=1) - Y) ** 2).sum())
 
-    best_beta, best_val = None, np.inf
-    for beta in starts:
-        beta = beta.copy()
-        val = regression_objective(beta, data)
+    def step(beta, k):
+        o = np.delete(beta + Z, k, axis=1).max(axis=1, initial=-np.inf)
+        trial = beta.copy()
+        trial[k] = _line_min(o - Z[:, k], Y - Z[:, k])
+        return trial
+
+    def descend(beta):
+        val = objective(beta)
         for _ in range(MAX_CYCLES):
             prev = val
-            for k in range(e + 1):
-                def fun(t, k=k):
-                    trial = beta.copy()
-                    trial[k] = t
-                    return regression_objective(trial, data)
-
-                t, ft = _golden_section(fun, beta[k] - SPAN, beta[k] + SPAN)
-                if ft < val:
-                    beta[k], val = t, ft
+            trial = min((step(beta, k) for k in range(len(beta))), key=objective)
+            ft = objective(trial)
+            if ft < val:
+                beta, val = trial, ft
             if prev - val < CYCLE_TOL:
                 break
-        if val < best_val:
-            best_beta, best_val = beta.copy(), val
-    return RegressionModel(tuple(float(b) for b in best_beta), float(best_val))
+        return val, beta
+
+    val, beta = min(map(descend, starts), key=lambda fit: fit[0])
+    return RegressionModel(tuple(beta.tolist()), val)
 
 
 def _lda(D: np.ndarray, X1: np.ndarray, X2: np.ndarray, w=None):

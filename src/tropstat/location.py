@@ -60,8 +60,10 @@ def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
     V = _sample_arrays(sample)
     s, e = V.shape
     per = max(1, _CUBE_BLOCK // (s * e))
+    C = np.zeros((s, s + 1))  # the last column stays zero for _assignment
     with np.errstate(over="ignore", invalid="ignore"):
-        C = np.vstack([(V - V[lo : lo + per, None, :]).max(axis=2) for lo in range(0, s, per)])
+        for lo in range(0, s, per):
+            np.max(V - V[lo : lo + per, None, :], axis=2, out=C[lo : lo + per, :s])
         if not np.isfinite(C).all():
             raise RuntimeError("Fermat-Weber costs are not finite: coordinate differences overflow")
         sigma, b = _assignment(C)
@@ -76,14 +78,13 @@ def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
 
 
 def _assignment(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation sigma maximizing sum_i C[i, sigma(i)], and column
+    """For an (s, s + 1) C whose zero last column is every path's virtual
+    start, the permutation sigma maximizing sum_i C[i, sigma(i)] and column
     potentials b with C[i, k] <= a_i - b_k for row potentials a, equal on
     sigma: shortest augmenting paths with potentials (Kuhn, 1955; Jonker &
-    Volgenant, 1987), one vectorized pass over the columns per step.  Ties
-    go to the first free column, else to the first column, which keeps
-    tied paths short."""
+    Volgenant, 1987), one vectorized pass over the columns per step.  Ties go
+    to the first free column, else to the first, which keeps tied paths short."""
     s = len(C)
-    C = np.hstack([C, np.zeros((s, 1))])  # column s: the virtual start of every path
     u, v = np.zeros(s), -C.max(axis=0)  # column reduction
     row_of = np.full(s + 1, -1)  # the row matched to each column
     for i in range(s):

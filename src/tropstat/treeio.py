@@ -187,11 +187,12 @@ class DissimilarityMap:
             raise ValueError(f"expected {e} entries for {self.n_leaves} leaves")
         if len(self.leaf_names) != self.n_leaves:
             raise ValueError("one name per leaf required")
-        if any(v < 0 for v in self.values):
+        values = np.asarray(self.values, dtype=float)
+        if (values < 0).any():
             raise ValueError("dissimilarities must be nonnegative")
-        if not np.isfinite(self.values).all():
+        if not np.isfinite(values).all():
             raise ValueError("dissimilarities must be finite")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     def get(self, i: int, j: int) -> float:
         if i == j:

@@ -7,6 +7,7 @@ import pytest
 
 from tropstat import experimental
 from tropstat.experimental import (
+    _line_min,
     fit_lda,
     fit_regression,
     lda_objective,
@@ -144,6 +145,85 @@ class TestPredict:
             trop_predict((1.0,), (2.0,))
 
 
+def line_cases(seed, count):
+    """Seeded (b, r) for _line_min, 1-9 points: Gaussian, integer (tied
+    breakpoints), all breakpoints equal, every r below its breakpoint (the
+    minimum is the constant stretch), no breakpoints (-inf, an
+    intercept-only fit), and Gaussian at scale 0.01 about 1e6."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n, kind = 1 + case % 9, case % 6
+        b, r = rng.normal(0, 3, n), rng.normal(0, 3, n)
+        if kind == 1:
+            b, r = rng.integers(0, 4, n).astype(float), rng.integers(0, 4, n).astype(float)
+        elif kind == 2:
+            b[:] = b[0]
+        elif kind == 3:
+            r = b - rng.uniform(0, 3, n)
+        elif kind == 4:
+            b[:] = -np.inf
+        elif kind == 5:
+            b, r = 1e6 + b / 300, 1e6 + r / 300
+        yield b, r
+
+
+def line_objective(t, b, r):
+    return float(((np.maximum(t, b) - r) ** 2).sum())
+
+
+def regression_data(seed):
+    """A seeded max-plus data set: 5-60 points with 1-4 features, Gaussian
+    at scales 0.5-20 or integer in {0, 1, 2} with rounded responses, and
+    noise up to 5."""
+    rng = np.random.default_rng(seed)
+    n, e = int(rng.integers(5, 61)), int(rng.integers(1, 5))
+    scale, noise = rng.uniform(0.5, 20), rng.uniform(0, 5)
+    beta = rng.normal(0, scale, e + 1)
+    integer = seed % 3 == 2
+    X = rng.integers(0, 3, (n, e)).astype(float) if integer else rng.normal(0, scale, (n, e))
+    y = np.maximum(beta[0], (beta[1:] + X).max(axis=1)) + noise * rng.normal(size=n)
+    if integer:
+        y = np.round(y)
+    return [(tuple(x), v) for x, v in zip(X.tolist(), y.tolist())]
+
+
+def coordinate_gain(beta, data):
+    """The most the residual sum falls, over 1 + its value, when one
+    coordinate of beta moves to one of its breakpoints or to the mean of
+    the r's at or below a breakpoint: 0 for a coordinate-wise optimum."""
+    Z = np.array([(0.0, *x) for x, _ in data])
+    y = np.array([v for _, v in data])
+    beta = np.array(beta)
+
+    def sse(b):
+        return float((((b + Z).max(axis=1) - y) ** 2).sum())
+
+    value, gain = sse(beta), 0.0
+    for k in range(len(beta)):
+        b = np.delete(beta + Z, k, axis=1).max(axis=1, initial=-np.inf) - Z[:, k]
+        r = y - Z[:, k]
+        for t in [*b[np.isfinite(b)], *(r[b <= c].mean() for c in b)]:
+            trial = beta.copy()
+            trial[k] = t
+            gain = max(gain, (value - sse(trial)) / (1.0 + value))
+    return gain
+
+
+class TestLineMin:
+    def test_matches_direct_evaluation(self):
+        # against every breakpoint, every stretch's clipped mean and a grid
+        for b, r in line_cases(20, 900):
+            t = _line_min(b, r)
+            ends = np.sort(b)
+            hi = np.append(ends[1:], np.inf)
+            means = [r[b <= c].mean() for c in ends]
+            finite = np.concatenate((b, r))[np.isfinite(np.concatenate((b, r)))]
+            grid = np.linspace(finite.min() - 1.0, finite.max() + 1.0, 401)
+            cands = [*b[np.isfinite(b)], *np.clip(means, ends, hi), *grid]
+            best = min(line_objective(c, b, r) for c in cands)
+            assert line_objective(t, b, r) <= best + 1e-9 * (1.0 + best)
+
+
 class TestRegression:
     def test_perfect_fit(self):
         beta = (1.0, 0.5)
@@ -178,6 +258,28 @@ class TestRegression:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_regression([], seed=0)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_coordinate_wise_optimal(self, seed):
+        data = regression_data(seed)
+        model = fit_regression(data, seed=seed)
+        assert coordinate_gain(model.beta, data) <= 1e-9
+        assert model.residual_sum == pytest.approx(
+            regression_objective(model.beta, data), rel=1e-12, abs=1e-12)
+
+    def test_intercept_only(self):
+        data = [((), 1.0), ((), 2.0), ((), 4.0), ((), 4.0)]
+        model = fit_regression(data, seed=0)
+        assert model.beta == (pytest.approx(2.75),)
+        assert model.residual_sum == pytest.approx(6.75)
+
+    def test_offset_responses(self):
+        # responses near 1e6 give the same fit, shifted, as near 0
+        data = regression_data(7)
+        near = [(x, y + 1e6) for x, y in data]
+        model, shifted = fit_regression(data, seed=0), fit_regression(near, seed=0)
+        assert coordinate_gain(shifted.beta, near) <= 1e-9
+        assert shifted.residual_sum == pytest.approx(model.residual_sum, rel=1e-6)
 
 
 class TestLda:

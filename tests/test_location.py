@@ -211,7 +211,7 @@ class TestAssignment:
         for s in range(1, 7):
             for _ in range(20):
                 C = rng.integers(-3, 4, size=(s, s)).astype(float)
-                sigma, b = _assignment(C)
+                sigma, b = _assignment(np.hstack([C, np.zeros((s, 1))]))
                 assert sorted(sigma.tolist()) == list(range(s))
                 best = max(C[np.arange(s), list(p)].sum() for p in permutations(range(s)))
                 assert C[np.arange(s), sigma].sum() == best
