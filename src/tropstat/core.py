@@ -18,9 +18,6 @@ NEG_INF = float("-inf")
 
 #: absolute tolerance for point equality and "max attained twice" ties
 EQ_TOL = 1e-9
-#: elements in one block of a broadcast (rows, n, e) array; callers take their
-#: rows in blocks so that no (n, n, e) array is built
-_CUBE_BLOCK = 1 << 18
 
 
 def trop_add(a: float, b: float) -> float:
@@ -135,7 +132,8 @@ def _sample_arrays(sample: Sequence[TropicalPoint]) -> np.ndarray:
 
 def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Tropical distances between the rows of X and Y, broadcast over the
-    leading axes: max(x - y) - min(x - y) along the last axis."""
+    leading axes: max(x - y) - min(x - y) along the last axis.  Scans over
+    all pairs pass one row x at a time, so no (n, n, e) array is built."""
     diff = X - Y
     return diff.max(axis=-1) - diff.min(axis=-1)
 

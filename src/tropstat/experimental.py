@@ -77,15 +77,18 @@ def _line_min(b, r) -> float:
     every breakpoint b.  Past the m lowest (stable order), f is
     m (t - mean_m)^2 + M2_m + the rest's (b_i - r_i)^2, minimal at mean_m
     clipped to the stretch; M2_m, the squared deviations of those r about
-    their mean, adds nonnegative increments, so no offset of all r cancels."""
+    their mean, adds nonnegative increments, so no offset of all r cancels.
+    f only shifts with t, b and r, so the sums run on b and r less r_0 and
+    stay within the data's spread: responses near 1e308 do not overflow."""
     order = np.argsort(b, kind="stable")
-    b, r = b[order], r[order]
+    c = r[0]
+    b, r = b[order] - c, r[order] - c
     m = np.arange(1.0, len(b) + 1)
     mean = np.cumsum(r) / m
     m2 = np.cumsum((m - 1) / m * (r - np.concatenate((mean[:1], mean[:-1]))) ** 2)
     rest = np.concatenate((np.cumsum(((b - r) ** 2)[::-1])[-2::-1], [0.0]))
     t = np.clip(mean, b, np.append(b[1:], np.inf))
-    return float(t[np.argmin(m * (t - mean) ** 2 + m2 + rest)])
+    return float(t[np.argmin(m * (t - mean) ** 2 + m2 + rest)] + c)
 
 
 def fit_regression(data, seed: int = 0) -> RegressionModel:

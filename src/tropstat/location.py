@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _CUBE_BLOCK, TropicalPoint, _distances, _sample_arrays, canonicalize
+from .core import TropicalPoint, _distances, _sample_arrays, canonicalize
 from .solver import minimize_convex
 from .treeio import three_point_check
 
@@ -56,14 +56,13 @@ def fermat_weber(sample: Sequence[TropicalPoint]) -> LocationResult:
     the sample's tropical convex hull; ultrametrics are tropically convex
     (Lin, Sturmfels, Tang & Yoshida, *Convexity in tree spaces*, 2017),
     and float rounding is monotone, so y of an ultrametric sample is
-    ultrametric."""
+    ultrametric.  C is filled one row at a time, each from one (s, e) difference."""
     V = _sample_arrays(sample)
     s, e = V.shape
-    per = max(1, _CUBE_BLOCK // (s * e))
     C = np.zeros((s, s + 1))  # the last column stays zero for _assignment
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, s, per):
-            np.max(V - V[lo : lo + per, None, :], axis=2, out=C[lo : lo + per, :s])
+        for i in range(s):
+            np.max(V - V[i], axis=1, out=C[i, :s])
         if not np.isfinite(C).all():
             raise RuntimeError("Fermat-Weber costs are not finite: coordinate differences overflow")
         sigma, b = _assignment(C)

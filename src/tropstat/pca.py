@@ -1,20 +1,20 @@
 """Tropical principal polytopes: objective, heuristic fit, exhaustive oracle.
 
 The fit restricts candidate vertices to sample points and runs a
-first-improvement vertex-exchange local search; the exhaustive oracle
-scans every vertex subset and is intended for small fixtures only.
+first-improvement vertex-exchange local search that restarts its scan
+after every accepted exchange; the exhaustive oracle scans every vertex
+subset and is intended for small fixtures only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    _CUBE_BLOCK,
     TropicalPoint,
     TropicalPolytope,
     _combine,
@@ -52,19 +52,16 @@ def exhaustive_principal_polytope(
         raise ValueError("vertex count out of range")
     X = _sample_arrays(S)
     V = X - X[:, :1]  # canonical rows, the candidate vertices
-    best = None
-    for indices in combinations(range(len(S)), s):
-        obj = _residual(X, V[list(indices)])
-        if best is None or obj < best[1]:
-            best = (indices, obj)
-    return best
+    fits = ((idx, _residual(X, V[list(idx)])) for idx in combinations(range(len(S)), s))
+    return min(fits, key=lambda fit: fit[1])  # the first minimal subset
 
 
 def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
     """Vertex-exchange local search over s-subsets of the sample.
 
-    Greedy farthest-point initialization, then first-improvement sweeps in
-    deterministic scan order until a sweep makes no strict improvement.
+    Greedy farthest-point initialization, then a scan of the trials
+    (position, candidate) in row-major order that takes the first strict
+    improvement and starts again from (0, 0), until a whole scan finds none.
     Vertices are row indices of the sample matrix.
     """
     n = len(S)
@@ -75,22 +72,18 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
     current = _farthest_first(X, s)
     obj = _residual(X, V[current])
     trace = [obj]
-    improved = True
-    while improved:
-        improved = False
-        for pos in range(s):
-            for cand in range(n):
-                if cand in current:
-                    continue
-                trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
-                trial_obj = _residual(X, V[trial])
-                if trial_obj < obj - 1e-12:
-                    current, obj = trial, trial_obj
-                    trace.append(obj)
-                    improved = True
-                    break
-            if improved:
+    while True:
+        for pos, cand in product(range(s), range(n)):
+            if cand in current:
+                continue
+            trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
+            trial_obj = _residual(X, V[trial])
+            if trial_obj < obj - 1e-12:
+                current, obj = trial, trial_obj
+                trace.append(obj)
                 break
+        else:
+            break
 
     P = TropicalPolytope(tuple(S[i] for i in current))
     proj = _project(X, V[current])[1]
@@ -108,20 +101,18 @@ def _farthest_first(X: np.ndarray, s: int) -> list[int]:
     row-major maximum over i < j), then the row with the largest distance
     sum to the rows chosen, until s are chosen.
 
-    The pair is found in slabs of rows whose (rows, n, e) differences fit in
-    _CUBE_BLOCK, so no (n, n, e) array is built.  Each sum adds the chosen
-    rows' distances in the order they were chosen.
+    The pair is found one row i at a time, from its distances to the rows
+    after it, so the largest temporary is one (n, e) difference.  Each sum
+    adds the chosen rows' distances in the order they were chosen.
     """
-    n, e = X.shape
     current = [0]
     if s >= 2:
-        per, best = max(1, _CUBE_BLOCK // (n * e)), -np.inf
-        for lo in range(0, n, per):
-            d = _distances(X[lo : lo + per, None, :], X)
-            d[np.tri(len(d), n, lo, dtype=bool)] = -np.inf  # keep j > i
-            k = int(d.argmax())
-            if d.flat[k] > best:
-                best, current = d.flat[k], [lo + k // n, k % n]
+        best = -np.inf
+        for i in range(len(X) - 1):
+            d = _distances(X[i], X[i + 1 :])
+            j = int(d.argmax())
+            if d[j] > best:  # strict, so an earlier row keeps a tie
+                best, current = d[j], [i, i + 1 + j]
     total = sum(_distances(X[c], X) for c in current)
     while len(current) < s:
         scores = total.copy()

@@ -223,6 +223,15 @@ class TestLineMin:
             best = min(line_objective(c, b, r) for c in cands)
             assert line_objective(t, b, r) <= best + 1e-9 * (1.0 + best)
 
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_responses_near_the_float_limit(self, c):
+        # a sum of two such responses overflows, but f only shifts with b
+        # and r together, so the exact fit t = c is found
+        for b in ([c, c, c], [-np.inf] * 3, [-np.inf, c, -np.inf, c]):
+            b, r = np.array(b), np.full(len(b), c)
+            t = _line_min(b, r)
+            assert t == c and line_objective(t, b, r) == 0.0
+
 
 class TestRegression:
     def test_perfect_fit(self):

@@ -231,16 +231,25 @@ class TestAssignment:
         assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
         assert a.diagnostics == b.diagnostics
 
-    def test_cost_slabs_do_not_change_the_output(self, monkeypatch):
-        for sample in (ultrametric_points(5, 23, 17), fw_ladder()[12]):  # trees, Gaussian 30 x 10
-            whole = fermat_weber(sample)
-            s, e = len(sample), sample[0].dim
-            monkeypatch.setattr(location, "_CUBE_BLOCK", 3 * s * e)  # slabs of 3 rows
-            sliced = fermat_weber(sample)
-            monkeypatch.undo()
-            assert sliced.point.coords == whole.point.coords
-            assert sliced.objective == whole.objective
-            assert sliced.diagnostics == whole.diagnostics
+    @pytest.mark.parametrize("s", [1, 2, 17, 60])
+    def test_costs_are_the_pairwise_maxima(self, monkeypatch, s):
+        # trees, Gaussian rows and integer rows with tied differences
+        rng = np.random.default_rng(s)
+        samples = [ultrametric_points(5, s, s),
+                   [TropicalPoint(tuple(v)) for v in rng.normal(size=(s, 10))],
+                   [TropicalPoint(tuple(v)) for v in rng.integers(0, 3, size=(s, 6)).astype(float)]]
+        seen = []
+
+        def capture(C):
+            seen.append(C.copy())
+            return _assignment(C)
+
+        monkeypatch.setattr(location, "_assignment", capture)
+        for sample in samples:
+            fermat_weber(sample)
+            V = np.array([p.coords for p in sample])
+            want = np.hstack([np.max(V[None, :, :] - V[:, None, :], axis=2), np.zeros((s, 1))])
+            assert seen.pop().tobytes() == want.tobytes()
 
     def test_point_off_the_optimum_raises(self, monkeypatch):
         # every distance read 1e-6 too long: the point's sum misses the optimum

@@ -182,28 +182,16 @@ class TestMatchesPerPointReference:
                 D = model.polytope.matrix()
                 assert pca_objective(model.polytope, S) == reference_objective(D, S)
 
-    def test_blocked_start_bit_for_bit(self, monkeypatch):
-        # slabs of one row, of two rows with a ragged last slab, and one
-        # slab; up to 12 vertices, so each distance sum adds 11 rows
+    def test_row_scan_start_bit_for_bit(self):
+        # up to 12 vertices, so each distance sum adds 11 rows; in the
+        # 200-row integer sample many pairs tie at the largest distance
         rng = np.random.default_rng(5)
         samples = [np.array([p.coords for p in S]) for S in seeded_samples(4, 9)]
-        samples += [rng.integers(0, 3, size=(31, 5)).astype(float), rng.normal(size=(31, 5))]
-        default = pca._CUBE_BLOCK
+        samples += [rng.integers(0, 3, size=(31, 5)).astype(float), rng.normal(size=(31, 5)),
+                    rng.integers(0, 3, size=(200, 4)).astype(float)]
         for X in samples:
-            n, e = X.shape
-            for s in range(1, min(n, 12) + 1):
-                want = reference_start(X, s)
-                for block in (1, 2 * n * e, default):
-                    monkeypatch.setattr(pca, "_CUBE_BLOCK", block)
-                    assert pca._farthest_first(X, s) == want
-            S = [TropicalPoint(tuple(r)) for r in X]
-            monkeypatch.setattr(pca, "_CUBE_BLOCK", default)
-            whole = fit_principal_polytope(S, 3)
-            monkeypatch.setattr(pca, "_CUBE_BLOCK", 1)
-            blocked = fit_principal_polytope(S, 3)
-            assert blocked.vertex_indices == whole.vertex_indices
-            assert blocked.trace == whole.trace
-            assert blocked.assignment == whole.assignment
+            for s in range(1, min(len(X), 12) + 1):
+                assert pca._farthest_first(X, s) == reference_start(X, s)
 
     def test_farthest_pair_tie_takes_first_pair(self):
         # the search starts at (0, 5), the first of the tied pairs
