@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -131,39 +133,68 @@ def _not_utf8(path: str) -> CliError:
 
 def read_points(path: str, header: bool) -> np.ndarray:
     """The (n, e) float64 matrix of a CSV file's data rows; blank lines are
-    skipped, and a bad cell or row is reported as path:line."""
-    rows = []
-    linenos = []
+    skipped, and a bad cell or row is reported as path:line.
+
+    numpy's C tokenizer reads the file.  When it refuses the file, finds no
+    rows or finds a value that is not finite, _scan_points reads it again
+    with the csv module: that scan names the line at fault, or reads the
+    cells that float() accepts and numpy refuses (1_000, full-width or
+    Arabic-Indic digits)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # numpy strips the separators \x1c-\x1f from a cell as whitespace, and
+    # float() refuses them
+    if not any(sep in data for sep in b"\x1c\x1d\x1e\x1f"):
+        with (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as lines,
+              warnings.catch_warnings()):
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                if header:  # one csv record, as a quoted cell may span lines
+                    next(csv.reader(lines), None)
+                X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, quotechar='"')
+            except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+                pass
+            else:
+                if X.size and np.isfinite(X).all():
+                    return X
+    return _scan_points(path, data, header)
+
+
+def _scan_points(path: str, data: bytes, header: bool) -> np.ndarray:
+    """read_points by float() on each csv cell.  It reports the first line
+    that is not UTF-8, else the first bad cell or ragged row, else the first
+    non-finite value."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if row and not (header and lineno == 1):
-                    rows.append(row)
-                    linenos.append(lineno)
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if not rows:
-        raise CliError(f"{path}: no data rows", EXIT_PARSE)
+    rows = []
+    nonfinite = None
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        X = np.array(rows, dtype=float)  # float() on each cell, as below
-    except ValueError:
-        # a bad cell or a ragged row: find the first, row by row
-        for lineno, row in zip(linenos, rows):
+        for lineno, row in enumerate(reader, start=1):
+            if not row or (header and lineno == 1):
+                continue
             try:
-                [float(cell) for cell in row]
+                values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
-            if len(row) != len(rows[0]):
+            if rows and len(values) != len(rows[0]):
                 raise CliError(
-                    f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                    f"{path}:{lineno}: ragged row ({len(values)} cells, "
                     f"expected {len(rows[0])})",
                     EXIT_PARSE,
                 )
-        raise
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise CliError(f"{path}:{linenos[finite.argmin()]}: non-finite value", EXIT_PARSE)
-    return X
+            if nonfinite is None and not all(map(math.isfinite, values)):
+                nonfinite = lineno
+            rows.append(values)
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise CliError(f"{path}:{reader.line_num}: {exc}", EXIT_PARSE)
+    if not rows:
+        raise CliError(f"{path}: no data rows", EXIT_PARSE)
+    if nonfinite is not None:
+        raise CliError(f"{path}:{nonfinite}: non-finite value", EXIT_PARSE)
+    return np.array(rows)
 
 
 def _points(X: np.ndarray) -> list[TropicalPoint]:

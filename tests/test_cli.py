@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import csv_points
 from conftest import src_env
 from tropstat import cli, treeio
 from tropstat.cli import main
@@ -275,7 +276,93 @@ class TestLocationCommands:
         assert envelope_of(out)["result"]["objective"] == pytest.approx(3.0)
 
 
+SPACES = [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028"]  # float() strips them
+FLOAT_ONLY = ["1_000", "2_5.0_1", "\uff11\uff12", "\u0663.\u0665"]  # numpy refuses them
+NON_FINITE = ["nan", "-NaN", "inf", "+Infinity", "-INF", "1e400"]
+BAD_CELLS = ["0x10", "1e", "x", "", "1 2", "-"]
+FAULTS = ["non-finite", "float-only", "separator", "dirty"]
+
+
+@st.composite
+def csv_cells(draw, faults):
+    """One cell: a float's repr or a long digit string, sometimes padded
+    with whitespace or quoted.  Each fault in faults adds its kind of cell:
+    nan and inf spellings, spellings only float() reads, the separators
+    \\x1c and \\x1f that only numpy strips, or bad spellings and stray and
+    doubled quotes."""
+    nonfinite, dirty = "non-finite" in faults, "dirty" in faults
+    odd = NON_FINITE * nonfinite + FLOAT_ONLY * ("float-only" in faults) + BAD_CELLS * dirty
+    kind = draw(st.sampled_from(["repr", "repr", "digits"] + ["odd"] * bool(odd)))
+    if kind == "repr":
+        cell = repr(draw(st.floats(allow_nan=nonfinite, allow_infinity=nonfinite)))
+    elif kind == "digits":
+        cell = draw(st.sampled_from(["", "-", "+"])) + draw(st.text("0123456789", min_size=1, max_size=200))
+        if draw(st.booleans()):
+            cell += "." + draw(st.text("0123456789", max_size=400))
+        if draw(st.booleans()):
+            cell += "e" + str(draw(st.integers(-400, 400 if nonfinite else 100)))
+    else:
+        cell = draw(st.sampled_from(odd))
+    if draw(st.integers(0, 3)) == 0:
+        chars = st.sampled_from(SPACES * 2 + ["\x1c", "\x1f"] * ("separator" in faults))
+        pad = st.lists(chars, max_size=2).map("".join)
+        cell = draw(pad) + cell + draw(pad)
+    quoting = draw(st.sampled_from(["none"] * 5 + ["quoted"] + ["doubled", "stray"] * dirty))
+    if quoting == "quoted":
+        cell = '"' + cell + '"'
+    elif quoting == "doubled":
+        cell = '"' + cell + '"""'
+    elif quoting == "stray":
+        k = draw(st.integers(0, len(cell)))
+        cell = cell[:k] + '"' + cell[k:]
+    return cell
+
+
+@st.composite
+def csv_files(draw):
+    """(file bytes, header flag): up to 6 rows of up to 5 cells between
+    blank lines, each line ended by LF, CRLF or a bare CR; with --header,
+    line 1 is a header, a blank line or a quoted header cell that spans
+    lines.  A file has any set of FAULTS; a dirty one also has ragged rows,
+    trailing commas, whitespace-only lines and bytes that are not UTF-8."""
+    faults = draw(st.sets(st.sampled_from(FAULTS)))
+    dirty = "dirty" in faults
+    ncol = draw(st.integers(1, 5))
+    widths = st.sampled_from([ncol] * 6 + [ncol - 1, ncol + 1] if dirty else [ncol])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(widths)
+        line = ",".join(draw(st.lists(csv_cells(faults), min_size=width, max_size=width)))
+        lines.append(line + (draw(st.sampled_from([""] * 6 + [","])) if dirty else ""))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", '""'] if dirty else [""])))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, draw(st.sampled_from(["a,b,c", "", '"x\ny",z', '"open', "1,2"])))
+    elif draw(st.integers(0, 4)) == 0:
+        lines.insert(0, draw(st.sampled_from(["", "a,b,c"] if dirty else [""])))
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if dirty and draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data, header
+
+
+def read_outcome(read, path, header):
+    """The matrix's dtype, shape and bytes, or the CliError's message and code."""
+    try:
+        X = read(path, header)
+    except cli.CliError as exc:
+        return "error", str(exc), exc.code
+    return "rows", X.dtype.str, X.shape, X.tobytes()
+
+
 class TestReadPoints:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, header, message", [
         ("0,0,0\n0,x,0\n0,0\n", False, "{path}:2: could not convert string to float: 'x'"),
         ("0,0,0\n0,0\n0,x,0\n", False, "{path}:2: ragged row (2 cells, expected 3)"),
@@ -285,6 +372,12 @@ class TestReadPoints:
         ("0,0,0\n\n0,inf,0\n0,nan,0\n", False, "{path}:3: non-finite value"),
         ("\n\n", False, "{path}: no data rows"),
         ("a,b\n", True, "{path}: no data rows"),
+        ("", False, "{path}: no data rows"),
+        ('"x\n1,2\n3,"4"\n', True, "{path}: no data rows"),  # one quoted header cell
+        ("1\x1c,2\n", False, "{path}:1: could not convert string to float: '1\\x1c'"),
+        ("0,1,2\n0,inf,1\n0,x,1\n", False, "{path}:3: could not convert string to float: 'x'"),
+        pytest.param("0," + "1" * 140000 + ",2\n", False,
+                     "{path}:1: field larger than field limit (131072)", id="over-field-limit"),
     ])
     def test_error_messages(self, tmp_path, text, header, message):
         path = tmp_path / "p.csv"
@@ -299,6 +392,9 @@ class TestReadPoints:
         ("x,y,z\n0,1,2\n", True, [[0.0, 1.0, 2.0]]),
         ("\n0,1,2\n", True, [[0.0, 1.0, 2.0]]),  # line 1 is the header, even blank
         (" 1 ,2e0,-0.5\n", False, [[1.0, 2.0, -0.5]]),
+        pytest.param("0," + "0" * 140000 + "1.5,2\n", False, [[0.0, 1.5, 2.0]],
+                     id="over-field-limit"),
+        ("1_000,\uff11,\u0663\r\n", False, [[1000.0, 1.0, 3.0]]),
     ])
     def test_rows(self, tmp_path, text, header, rows):
         path = tmp_path / "p.csv"
@@ -306,6 +402,24 @@ class TestReadPoints:
         X = cli.read_points(str(path), header)
         assert X.dtype == np.float64
         assert X.tolist() == rows
+
+    def test_gz_name_is_read_as_text(self, tmp_path):
+        path = tmp_path / "points.csv.gz"
+        path.write_text("0,1,2\n")
+        assert cli.read_points(str(path), False).tolist() == [[0.0, 1.0, 2.0]]
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @example((b"0,x\n0,1\n\xff\n", False))  # the line that is not UTF-8 is named
+    @given(csv_files())
+    def test_same_as_reference(self, case):
+        data, header = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "p.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            got = read_outcome(cli.read_points, path, header)
+            assert got == read_outcome(csv_points.read_points, path, header)
 
 
 class TestPcaCommand:
