@@ -1,8 +1,9 @@
 """Heuristics for the open-problem formulations: tropical LDA and regression.
 
 Both features evaluate their stated objectives exactly but optimize them
-with replaceable heuristics, regression by exact coordinate steps; every
-serialized output carries an EXPERIMENTAL flag.
+with replaceable heuristics (regression by exact coordinate steps) whose
+steps and thresholds are fractions of the data's range, so each fit scales
+with the data; every serialized output carries an EXPERIMENTAL flag.
 
 An LDA candidate is a tropical segment, a geodesic of the tropical metric
 (Develin & Sturmfels, *Tropical convexity*, 2004), so the constrained
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    EQ_TOL,
     TropicalPoint,
     TropicalPolytope,
     _distances,
@@ -29,7 +31,7 @@ from .location import fermat_weber
 EXPERIMENTAL = True
 
 # regression coordinate descent: starts, cycles (one step each) per start,
-# and the improvement below which a start stops
+# and the improvement, as a ratio of the residual sum, at which a start stops
 N_STARTS = 4
 MAX_CYCLES = 60
 CYCLE_TOL = 1e-10
@@ -102,7 +104,7 @@ def fit_regression(data, seed: int = 0) -> RegressionModel:
     Y = np.array([y for _, y in data], dtype=float)
     rng = np.random.default_rng(seed)
     heur = np.median(Y[:, None] - Z, axis=0)
-    scale = max(1.0, float(np.ptp(Y)))
+    scale = float(np.ptp(Y))
     starts = [heur] + [heur + rng.uniform(-scale, scale, size=len(heur))
                        for _ in range(N_STARTS - 1)]
 
@@ -113,17 +115,16 @@ def fit_regression(data, seed: int = 0) -> RegressionModel:
         o = np.delete(beta + Z, k, axis=1).max(axis=1, initial=-np.inf)
         trial = beta.copy()
         trial[k] = _line_min(o - Z[:, k], Y - Z[:, k])
-        return trial
+        return objective(trial), trial
 
     def descend(beta):
         val = objective(beta)
         for _ in range(MAX_CYCLES):
             prev = val
-            trial = min((step(beta, k) for k in range(len(beta))), key=objective)
-            ft = objective(trial)
+            ft, trial = min((step(beta, k) for k in range(len(beta))), key=lambda fit: fit[0])
             if ft < val:
                 beta, val = trial, ft
-            if prev - val < CYCLE_TOL:
+            if prev - val <= CYCLE_TOL * prev:
                 break
         return val, beta
 
@@ -190,9 +191,10 @@ def fit_lda(
     X1, X2 = _sample_arrays(S1), _sample_arrays(S2)
     v1 = fermat_weber(S1).point.as_array()
     v2 = fermat_weber(S2).point.as_array()
-    if canonicalize(v1).close_to(canonicalize(v2)):
-        v2 = v2 + 1.0 / np.arange(1, len(v2) + 1)  # degenerate seed split
-    scale = 0.1 * max(float(np.ptp(np.vstack([X1, X2]))), 1.0)
+    spread = float(np.ptp(np.vstack([X1, X2])))
+    if canonicalize(v1).close_to(canonicalize(v2), EQ_TOL * spread):
+        v2 = v2 + 0.5 * spread / np.arange(1, len(v2) + 1)  # degenerate seed split
+    scale = 0.1 * spread
 
     def evaluate(verts):  # the polytope is built for the winner only
         return _lda(np.array([v - v[0] for v in verts]), X1, X2)
@@ -206,7 +208,7 @@ def fit_lda(
         trial = [verts[0].copy(), verts[1].copy()]
         trial[which][coord] += delta
         cand = evaluate(trial)
-        if cand.objective > best.objective + 1e-12:
+        if cand.objective > best.objective + 1e-12 * spread:
             best, verts = cand, trial
     best.polytope = TropicalPolytope(tuple(map(canonicalize, verts)))
     return best

@@ -60,8 +60,8 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
     """Vertex-exchange local search over s-subsets of the sample.
 
     Greedy farthest-point initialization, then a scan of the trials
-    (position, candidate) in row-major order that takes the first strict
-    improvement and starts again from (0, 0), until a whole scan finds none.
+    (position, candidate) in row-major order that takes the first gain over
+    1e-12 of the objective and starts again from (0, 0), until a scan finds none.
     Vertices are row indices of the sample matrix.
     """
     n = len(S)
@@ -78,7 +78,7 @@ def fit_principal_polytope(S: Sequence[TropicalPoint], s: int) -> PcaModel:
                 continue
             trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
             trial_obj = _residual(X, V[trial])
-            if trial_obj < obj - 1e-12:
+            if trial_obj < obj - 1e-12 * obj:
                 current, obj = trial, trial_obj
                 trace.append(obj)
                 break

@@ -81,10 +81,10 @@ def reference_fit_lda(S1, S2, seed, max_iters):
     rng = np.random.default_rng(seed)
     v1 = fermat_weber(S1).point.as_array()
     v2 = fermat_weber(S2).point.as_array()
-    if canonicalize(v1).close_to(canonicalize(v2)):
-        v2 = v2 + 1.0 / np.arange(1, len(v2) + 1)
-    data = np.array([p.coords for p in list(S1) + list(S2)])
-    scale = 0.1 * max(float(np.ptp(data)), 1.0)
+    spread = float(np.ptp(np.array([p.coords for p in list(S1) + list(S2)])))
+    if canonicalize(v1).close_to(canonicalize(v2), 1e-9 * spread):
+        v2 = v2 + 0.5 * spread / np.arange(1, len(v2) + 1)
+    scale = 0.1 * spread
 
     def evaluate(a, b):
         w = TropicalPolytope((canonicalize(a), canonicalize(b)))
@@ -99,7 +99,7 @@ def reference_fit_lda(S1, S2, seed, max_iters):
         trial = [verts[0].copy(), verts[1].copy()]
         trial[which][coord] += delta
         cand = evaluate(trial[0], trial[1])
-        if cand[4] > best[4] + 1e-12:
+        if cand[4] > best[4] + 1e-12 * spread:
             best, verts = cand, trial
     return best
 

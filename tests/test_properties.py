@@ -1,4 +1,5 @@
-"""Property-based checks: metric axioms, quotient invariance, projections."""
+"""Property-based checks: metric axioms, quotient invariance, projections,
+and statistics that scale with their sample's units."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from tropstat import (
     TropicalPolytope,
     cophenetic,
     fermat_weber,
+    fit_principal_polytope,
+    frechet_mean,
     fw_objective,
     in_polytope,
     project_onto_polytope,
@@ -18,7 +21,10 @@ from tropstat import (
     trop_segment,
     tropical_combination,
 )
+from tropstat.experimental import fit_lda, fit_regression
 from tropstat.treeio import _build_tree, _leaf_names
+
+from conftest import ultrametric_points
 
 finite_coord = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -140,3 +146,52 @@ class TestFermatWeberOfTwoTrees:
         assert three_point_check(res.point.coords, tol=1e-9)
         assert res.objective == pytest.approx(opt, abs=1e-9)
         assert fw_objective(res.point, sample) == pytest.approx(opt, abs=1e-9)
+
+
+def scaling_samples():
+    """Tree samples on 5 leaves (15 trees) and 8 leaves (20 trees), and
+    Gaussian 14 x 6 and integer 17 x 6 rows."""
+    rng = np.random.default_rng(23)
+    yield np.array([p.coords for p in ultrametric_points(5, 31, 15)])
+    yield np.array([p.coords for p in ultrametric_points(8, 32, 20)])
+    yield rng.normal(size=(14, 6))
+    yield rng.integers(0, 5, size=(17, 6)).astype(float)
+
+
+def statistics(X):
+    """Each statistic of the sample X, as lists of floats: Fermat-Weber
+    and Frechet raw points and objectives, the PCA vertex indices and
+    trace, the LDA vertices and objective of the two halves, and the
+    regression of the last column on the others."""
+    S = [TropicalPoint(tuple(r)) for r in X.tolist()]
+    fw, fr = fermat_weber(S), frechet_mean(S)
+    pca = fit_principal_polytope(S, 3)
+    lda = fit_lda(S[: len(S) // 2], S[len(S) // 2 :], seed=1)
+    reg = fit_regression([(tuple(r[:-1]), r[-1]) for r in X.tolist()], seed=1)
+    return {
+        "fw": (list(fw.diagnostics["raw_point"]), [fw.objective]),
+        "frechet": (list(fr.diagnostics["raw_point"]), [fr.objective]),
+        "pca": (list(pca.vertex_indices), list(pca.trace)),
+        "lda": (lda.polytope.matrix().ravel().tolist(), [lda.objective]),
+        "regression": (list(reg.beta), [reg.residual_sum]),
+    }
+
+
+class TestUnitFree:
+    @pytest.mark.parametrize("sample", range(4))
+    def test_power_of_two_scaling(self, sample):
+        # d(cx, cy) = c d(x, y): scaling the sample by c = 2^k scales each
+        # point by c and each objective by c (sums of distances) or c^2
+        # (sums of squares), bit for bit; PCA picks the same rows
+        X = list(scaling_samples())[sample]
+        unit, moved = statistics(X), []
+        for k in (-30, -10, -4, 4, 10, 30):
+            c = 2.0**k
+            powers = {"fw": (c, c), "frechet": (c, c * c), "pca": (1.0, c),
+                      "lda": (c, c), "regression": (c, c * c)}
+            for name, (point, value) in statistics(c * X).items():
+                cp, cv = powers[name]
+                if (point, value) != ([cp * v for v in unit[name][0]],
+                                      [cv * v for v in unit[name][1]]):
+                    moved.append((name, k))
+        assert moved == []
