@@ -138,6 +138,11 @@ def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return diff.max(axis=-1) - diff.min(axis=-1)
 
 
+def _spread(X: np.ndarray) -> float:
+    """The largest coordinate range of one row of X, the sample's scale."""
+    return float(np.ptp(X, axis=1).max())
+
+
 def _combine(lam: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Canonical tropical combinations max_l(lam_l + D_l) of the rows of D,
     one per row of lam."""

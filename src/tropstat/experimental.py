@@ -24,6 +24,7 @@ from .core import (
     _distances,
     _project,
     _sample_arrays,
+    _spread,
     canonicalize,
 )
 from .location import fermat_weber
@@ -191,7 +192,7 @@ def fit_lda(
     X1, X2 = _sample_arrays(S1), _sample_arrays(S2)
     v1 = fermat_weber(S1).point.as_array()
     v2 = fermat_weber(S2).point.as_array()
-    spread = float(np.ptp(np.vstack([X1, X2])))
+    spread = _spread(np.vstack([X1, X2]))
     if canonicalize(v1).close_to(canonicalize(v2), EQ_TOL * spread):
         v2 = v2 + 0.5 * spread / np.arange(1, len(v2) + 1)  # degenerate seed split
     scale = 0.1 * spread

@@ -141,6 +141,6 @@ def check_ultrametric_cells(
     if not all(three_point_check(D, tol=tol)):
         raise ValueError("polytope vertex fails the three-point condition")
     rng = np.random.default_rng(seed)
-    spread = max(float(_distances(D[:, None, :], D).max()), 1.0)
+    spread = float(_distances(D[:, None, :], D).max())
     lam = rng.uniform(-spread, spread, size=(trials, P.n_vertices))
     return all(three_point_check(_combine(lam, D), tol=tol))

@@ -3,14 +3,16 @@
 Training enumerates class-level sector assignments (all class-P points
 share the primary/secondary coordinate pair, likewise class Q); the best
 feasible assignment wins, with ties broken toward the lexicographically
-smallest assignment.  Each assignment's LP rows are difference
-constraints, so one array kernel bounds every LP optimum from shortest
-paths of that difference graph (exact in hard mode), and an LP is solved
-only for an assignment whose bound can still beat the running best.  The
-winner and its vector are those of the solved LPs, as with full
-enumeration.  Each LP is solved through its dual, a min-cost flow with one
-side constraint on at most four key nodes, by a small bounded-variable
-simplex (Ahuja, Magnanti & Orlin, *Network Flows*, 1993).
+smallest assignment.  The hard margin is the soft-margin LP at C = inf.
+Each assignment's LP rows are difference constraints, so one array kernel
+bounds every LP optimum from shortest paths of that difference graph
+(exact in hard mode), and an LP is solved only for an assignment whose
+bound can still beat the running best.  The winner and its vector are
+those of the solved LPs, as with full enumeration.  Each LP is solved
+through its dual, a min-cost flow with one side constraint on at most four
+key nodes, by a small bounded-variable simplex (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993).  Training thresholds are ratios of the sample's
+spread, so training scales with the data.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TropicalHyperplane, TropicalPoint, _sample_arrays, canonicalize
+from .core import TropicalHyperplane, TropicalPoint, _sample_arrays, _spread, canonicalize
 
 HARD = "HARD"
 SOFT = "SOFT"
@@ -31,9 +33,9 @@ OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
-SEP_TOL = 1e-9
-CYCLE_TOL = 1e-6  # well above PIVOT_TOL
-ROUND_TOL = 1e-9  # per unit of the data's spread
+SEP_TOL = 1e-9  # per unit of the spread in training; absolute when labeling
+CYCLE_TOL = 1e-6  # per unit of the spread, well above PIVOT_TOL
+ROUND_TOL = 1e-9  # per unit of the spread, or of the largest right-hand side
 PIVOT_TOL = 1e-9  # per unit of the largest cost, bound or ratio
 
 
@@ -125,23 +127,21 @@ def _cheapest(W: np.ndarray, K: np.ndarray, walks) -> np.ndarray:
     return best
 
 
-def _margin_bounds(X: np.ndarray, labels, K: np.ndarray,
-                   C: Optional[float]) -> np.ndarray:
-    """An upper bound on the LP optimum of every assignment row of K.
+def _margin_bounds(X: np.ndarray, labels, K: np.ndarray, C: float) -> np.ndarray:
+    """An upper bound at penalty C on the LP optimum of every row of K.
 
     The non-margin rows omega_a - omega_b <= c are arcs b -> a of cost c,
     the cheapest over the class's points; Mp and Mq are the classes'
     smallest margin right-hand sides, and d(s -> t) is the cheapest simple
     path.  The LP dual is a circulation carrying one unit over the margin
-    arcs, so U = min(Mp + d(jp -> ip), Mq + d(jq -> iq),
-    (Mp + Mq + d(jp -> iq) + d(jq -> ip)) / 2).  In hard mode U is the
-    optimum when the arcs have no negative cycle, and -inf (infeasible) when
-    one costs less than -CYCLE_TOL; a cycle in between gives inf, so the LP
-    decides.  Soft mode with C >= 1 may also send C - 1 units around the
-    cheapest cycle (no row then carries more than C), which adds
-    (C - 1) * min(0, cycle + CYCLE_TOL); with C < 1 every bound is inf.
+    arcs and at most C on any row, so with C >= 1 one feasible dual flow
+    costs U = min(Mp + d(jp -> ip), Mq + d(jq -> iq),
+    (Mp + Mq + d(jp -> iq) + d(jq -> ip)) / 2).  C - 1 more units may go
+    around the cheapest cycle, which adds (C - 1) * (cycle + CYCLE_TOL *
+    spread) where that is negative: -inf (infeasible) at C = inf, where U
+    is the optimum if no cycle is negative.  With C < 1 every bound is inf.
     """
-    if C is not None and C < 1:
+    if C < 1:
         return np.full(len(K), np.inf)
     y = np.asarray(labels)
     diff = X[:, :, None] - X[:, None, :]
@@ -157,11 +157,9 @@ def _margin_bounds(X: np.ndarray, labels, K: np.ndarray,
 
     Mp, Mq = AP[K[:, 0], K[:, 1]], AQ[K[:, 2], K[:, 3]]
     U = np.minimum.reduce([Mp + d(1, 0), Mq + d(3, 2), (Mp + Mq + d(1, 2) + d(3, 0)) / 2])
-    cycle = _cheapest(W, K, _CYCLES)
-    if C is None:
-        return np.where(cycle < -CYCLE_TOL, -np.inf, np.where(cycle < 0, np.inf, U))
+    cycle = _cheapest(W, K, _CYCLES) + CYCLE_TOL * _spread(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        return U + (C - 1) * np.minimum(cycle + CYCLE_TOL, 0.0)
+        return np.where(cycle < 0, U + (C - 1) * cycle, U)
 
 
 def _assignment_rows(X: np.ndarray, labels, asg: SectorAssignment):
@@ -183,11 +181,10 @@ def _assignment_rows(X: np.ndarray, labels, asg: SectorAssignment):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks catch a non-finite value
-def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment,
-                      C: Optional[float] = None):
-    """(status, objective, x) of one assignment's LP: maximize z, or
-    z - C * total slack, over free omega and z and, in soft mode, one
-    nonnegative slack per row of _assignment_rows.
+def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment, C: float):
+    """(status, objective, x) of one assignment's LP: maximize
+    z - C * total slack over free omega and z and one nonnegative slack per
+    row of _assignment_rows; at C = inf every slack is 0, the hard margin.
 
     Only the keys ip, jp, iq, jq are minus nodes, so a row into a non-key
     coordinate binds only its own omega.  The LP is solved through the dual
@@ -208,11 +205,11 @@ def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment,
     kept = np.isin(plus, keys)
     p, q, c = plus[kept], minus[kept], rhs[kept]
     A = np.vstack([(p == v) * 1.0 - (q == v) for v in keys[1:]] + [margin[kept]])
-    # Flows are counted in units of a power of two near C: that rounds as
-    # counting in ones does, and keeps sums of flows near C finite.
-    unit = 1.0 if C is None else float(np.ldexp(1.0, min(1023, int(np.frexp(C)[1]))))
-    upper = np.full(len(c), np.inf if C is None else C / unit)
-    status, y, pi, at_upper = _bounded_simplex(A, np.eye(len(keys))[-1] / unit, c, upper)
+    # Flows are counted in units of a power of two near C (1 at C = inf):
+    # that rounds as counting in ones does, and keeps sums near C finite.
+    unit = float(np.ldexp(1.0, min(1023, int(np.frexp(C)[1]))))
+    status, y, pi, at_upper = _bounded_simplex(A, np.eye(len(keys))[-1] / unit, c,
+                                               np.full(len(c), C / unit))
     if status != OPTIMAL:  # the dual's status is the reverse of the LP's
         return {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}[status], None, None
     omega = np.full(X.shape[1], np.inf)
@@ -222,17 +219,16 @@ def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment,
     lhs = omega[plus] - omega[minus] + z * margin
     slack = np.zeros(plus.shape)
     slack[kept] = np.where(at_upper, np.maximum(lhs[kept] - c, 0.0), 0.0)
-    value = z / unit if C is None else z / unit - C / unit * float(slack.sum())
+    # only a row at its bound carries slack, so inf * 0 is never formed
+    value = z / unit - (C / unit * float(slack.sum()) if at_upper.any() else 0.0)
     dual = float(c @ y)
-    scale = 1.0 / unit + (np.abs(c) + np.abs(lhs[kept])) @ y
+    scale = (np.abs(c) + np.abs(lhs[kept])) @ y
     if not (np.isfinite(omega).all()
-            and (lhs - slack <= rhs + ROUND_TOL * (1.0 + np.abs(rhs).max())).all()
+            and (lhs - slack <= rhs + ROUND_TOL * np.abs(rhs).max()).all()
             and abs(value - dual) <= ROUND_TOL * scale):
         raise RuntimeError(f"assignment {asg}: recovered LP value {value * unit!r}, "
                            f"dual value {dual * unit!r}")
-    x = np.concatenate([omega, [z]])
-    if C is not None:
-        x = np.concatenate([x, slack[:, 0], slack[:, 1], slack[:, 2:].ravel()])
+    x = np.concatenate([omega, [z], slack[:, 0], slack[:, 1], slack[:, 2:].ravel()])
     # -inf if the optimum lies below the float range; + 0.0 turns -0.0 into 0.0
     return OPTIMAL, value * unit + 0.0, x + 0.0
 
@@ -265,7 +261,7 @@ def _bounded_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndar
             if x[n:].sum() > PIVOT_TOL * flow:
                 return INFEASIBLE, None, None, None
             hi[n:] = 0.0
-        tol = PIVOT_TOL * max(1.0, np.abs(cost).max())
+        tol = PIVOT_TOL * np.abs(cost).max()
         while True:
             Binv = np.linalg.inv(A[:, basis])
             x = np.where(at_hi, hi, 0.0)
@@ -305,27 +301,24 @@ def _bounded_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndar
     return OPTIMAL, x[:n], pi, at_hi[:n]
 
 
-def _check_classes(sample: LabeledSample):
-    if 0 not in sample.labels or 1 not in sample.labels:
-        raise ValueError("both classes must be nonempty for training")
-    if sample.dim < 3:
-        raise ValueError("training needs dimension >= 3")
-
-
-def _train(sample: LabeledSample, C: Optional[float], tol: float):
-    """(objective, assignment, x) of the best assignment, or None if no LP
-    has an optimum; a later assignment wins only by more than tol.
+def _train(sample: LabeledSample, C: float):
+    """(objective, assignment, x) of the best assignment at penalty C, or
+    None if no LP has an optimum, and tol: a later assignment wins only by
+    more than tol, SEP_TOL per unit of the sample's spread.
 
     An assignment whose margin bound, plus a round-off allowance, is at
     most the running best + tol (at first -inf) cannot win, so its LP is
     not solved.
     """
-    _check_classes(sample)
-    if C is not None and not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C}")
+    if 0 not in sample.labels or 1 not in sample.labels:
+        raise ValueError("both classes must be nonempty for training")
+    if sample.dim < 3:
+        raise ValueError("training needs dimension >= 3")
     X = _sample_arrays(sample.points)
+    spread = _spread(X)
+    tol = SEP_TOL * spread
     K = _assignment_array(sample.dim)
-    bounds = _margin_bounds(X, sample.labels, K, C) + ROUND_TOL * (1.0 + np.ptp(X))
+    bounds = _margin_bounds(X, sample.labels, K, C) + ROUND_TOL * spread
     best = None
     for row, bound in zip(K.tolist(), bounds.tolist()):
         if bound <= (-np.inf if best is None else best[0]) + tol:
@@ -334,49 +327,45 @@ def _train(sample: LabeledSample, C: Optional[float], tol: float):
         status, obj, x = _solve_assignment(X, sample.labels, asg, C)
         if status == OPTIMAL and (best is None or obj > best[0] + tol):
             best = (obj, asg, x)
-    return best
+    return best, tol
 
 
-def train_hard(sample: LabeledSample, tol: float = SEP_TOL) -> SvmModel:
-    """Best class-level assignment by maximal margin z; fails if z <= tol."""
-    best = _train(sample, None, tol)
-    if best is None or best[0] <= tol:
-        raise NotSeparableError(
-            "no class-level sector assignment achieves a positive margin"
-        )
-    z, asg, x = best
-    return SvmModel(
-        omega=canonicalize(x[: sample.dim]),
-        assignment=asg,
-        margin=z,
-        mode=HARD,
-        slack_summary={"alpha": 0.0, "beta": 0.0, "gamma": 0.0},
-        objective=z,
-    )
-
-
-def train_soft(sample: LabeledSample, C: float) -> SvmModel:
-    """Best class-level assignment by the slack-penalized objective."""
-    best = _train(sample, C, SEP_TOL)
+def _fit(sample: LabeledSample, C: float) -> SvmModel:
+    """The model of the best assignment at penalty C; at C = inf, the hard
+    margin, the margin must exceed tol."""
+    best, tol = _train(sample, C)
+    hard = C == np.inf
+    if hard and (best is None or best[0] <= tol):
+        raise NotSeparableError("no class-level sector assignment achieves a positive margin")
     if best is None:
         raise RuntimeError(f"every soft-margin LP is unbounded at C = {C}: "
                            "the slack penalty is too small to bound the margin")
     obj, asg, x = best
     e, n = sample.dim, len(sample.points)
-    alpha, beta, gamma = np.split(x[e + 1 :], [n, 2 * n])
+    slack = np.split(x[e + 1 :], [n, 2 * n])  # alpha, beta, gamma
     return SvmModel(
         omega=canonicalize(x[:e]),
         assignment=asg,
         margin=float(x[e]),
-        mode=SOFT,
-        C=C,
-        slack_summary={
-            "alpha": float(alpha.sum()),
-            "beta": float(beta.sum()),
-            "gamma": float(gamma.sum()),
-        },
+        mode=HARD if hard else SOFT,
+        C=None if hard else C,
+        slack_summary={k: float(v.sum()) for k, v in zip(("alpha", "beta", "gamma"), slack)},
         objective=obj,
     )
+
+
+def train_hard(sample: LabeledSample) -> SvmModel:
+    """Best class-level assignment by maximal margin z: the soft-margin LP
+    at C = inf.  NotSeparableError unless z exceeds SEP_TOL per unit of the
+    sample's spread."""
+    return _fit(sample, np.inf)
+
+
+def train_soft(sample: LabeledSample, C: float) -> SvmModel:
+    """Best class-level assignment by the slack-penalized objective."""
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
+    return _fit(sample, C)
 
 
 def _labels(model: SvmModel, X: np.ndarray, tol: float = SEP_TOL) -> np.ndarray:

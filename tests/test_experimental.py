@@ -81,7 +81,7 @@ def reference_fit_lda(S1, S2, seed, max_iters):
     rng = np.random.default_rng(seed)
     v1 = fermat_weber(S1).point.as_array()
     v2 = fermat_weber(S2).point.as_array()
-    spread = float(np.ptp(np.array([p.coords for p in list(S1) + list(S2)])))
+    spread = float(np.ptp(np.array([p.coords for p in list(S1) + list(S2)]), axis=1).max())
     if canonicalize(v1).close_to(canonicalize(v2), 1e-9 * spread):
         v2 = v2 + 0.5 * spread / np.arange(1, len(v2) + 1)
     scale = 0.1 * spread
@@ -350,3 +350,12 @@ class TestLda:
         S = ultrametric_points(4, 8, 3)
         with pytest.raises(ValueError):
             fit_lda(S, [], seed=0)
+
+    def test_any_representative(self):
+        # the move size is a ratio of the largest coordinate range of one
+        # point, which adding a constant to a row does not change; the fit
+        # moves only by the round-off of the shifted row
+        S = ultrametric_points(5, 3, 12)
+        moved = [S[0].shifted(10.0)] + S[1:]
+        fits = [fit_lda(T[:6], T[6:], seed=1).objective for T in (S, moved)]
+        assert fits[1] == pytest.approx(fits[0], rel=1e-12)

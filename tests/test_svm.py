@@ -80,12 +80,24 @@ def tied(sample, step=0.25):
     )
 
 
+def scaled(sample, c):
+    return LabeledSample(tuple(TropicalPoint(tuple(c * np.array(p.coords))) for p in sample.points),
+                         sample.labels)
+
+
 SAMPLES = {
     "separable": separable_sample,
     "criterion8": lambda: separable_sample(10),
     "flipped": lambda: flipped(separable_sample(4)),
     "tied": lambda: tied(separable_sample(3)),
+    "tiny": lambda: scaled(separable_sample(), 2.0**-24),
 }
+
+
+def penalty(C):
+    """The trainer's penalty for a test's C: None, the hard margin, is
+    C = inf."""
+    return np.inf if C is None else C
 
 
 def highs(lp):
@@ -114,13 +126,15 @@ def every_lp(name, C):
     return sample, [highs(full_lp(sample, asg, C)) for asg in reference_assignments(sample.dim)]
 
 
-def reference_train(sample, C, tol=SEP_TOL):
+def reference_train(sample, C):
     """The unpruned loop that _train replaced: every assignment's LP is
-    solved."""
+    solved, and a later one wins by more than SEP_TOL times the largest
+    coordinate range of one point."""
     X = np.array([p.coords for p in sample.points])
+    tol = SEP_TOL * np.ptp(X, axis=1).max()
     best = None
     for asg in reference_assignments(sample.dim):
-        status, obj, x = _solve_assignment(X, sample.labels, asg, C)
+        status, obj, x = _solve_assignment(X, sample.labels, asg, penalty(C))
         if status == OPTIMAL and (best is None or obj > best[0] + tol):
             best = (obj, asg, x)
     return best
@@ -128,9 +142,12 @@ def reference_train(sample, C, tol=SEP_TOL):
 
 def meets_every_row(lp, x):
     """x meets every row of the full LP and every sign constraint, within
-    round-off of the data."""
-    tol = ROUND_TOL * (1.0 + np.abs(lp.b_ub).max())
-    return bool((lp.A_ub @ x <= lp.b_ub + tol).all() and (x[lp.n_free:] >= 0.0).all())
+    round-off of the right-hand sides.  x always carries a slack per row,
+    so past a hard LP's variables it must be 0."""
+    n = lp.A_ub.shape[1]
+    tol = ROUND_TOL * np.abs(lp.b_ub).max()
+    return bool((lp.A_ub @ x[:n] <= lp.b_ub + tol).all() and (x[lp.n_free:] >= 0.0).all()
+                and (x[n:] == 0.0).all())
 
 
 def reference_hard_lp(sample, asg):
@@ -260,13 +277,14 @@ class TestBuilder:
         for asg in reference_assignments(sample.dim):
             ref = full_lp(sample, asg, C)
             assert lp_bytes(svm_lp(X, sample.labels, asg, C)) == lp_bytes(ref)
-            status, value, x = _solve_assignment(X, sample.labels, asg, C)
+            status, value, x = _solve_assignment(X, sample.labels, asg, penalty(C))
             want, best = highs(ref)
             assert status == want
             if status == OPTIMAL:
                 assert abs(value - best) <= 1e-9 * (1.0 + abs(best))
                 assert meets_every_row(ref, x)
-                assert np.dot(-np.asarray(ref.objective), x) == pytest.approx(value, abs=1e-12)
+                objective = -np.asarray(ref.objective)
+                assert np.dot(objective, x[:len(objective)]) == pytest.approx(value, abs=1e-12)
             statuses.append(status)
         assert len(statuses) == 750 and OPTIMAL in statuses
 
@@ -278,7 +296,7 @@ class TestBuilder:
         sample = tied(separable_sample(3))
         X = np.array([p.coords for p in sample.points])
         for asg in reference_assignments(sample.dim):
-            status, value, _ = _solve_assignment(X, sample.labels, asg, C)
+            status, value, _ = _solve_assignment(X, sample.labels, asg, penalty(C))
             ref = solve_lp(svm_lp(X, sample.labels, asg, C))
             assert status == ref.status
             if status == OPTIMAL:
@@ -301,7 +319,7 @@ class TestPruning:
     @staticmethod
     def bounds(sample, C):
         X = np.array([p.coords for p in sample.points])
-        return _margin_bounds(X, sample.labels, _assignment_array(sample.dim), C)
+        return _margin_bounds(X, sample.labels, _assignment_array(sample.dim), penalty(C))
 
     @pytest.mark.parametrize("name, C", [
         (name, C) for name in ("separable", "flipped") for C in (None, 1.0, 10.0, 1e6)
@@ -309,7 +327,7 @@ class TestPruning:
     def test_bound_holds(self, name, C):
         sample, solutions = every_lp(name, C)
         X = np.array([p.coords for p in sample.points])
-        allowance = ROUND_TOL * (1.0 + np.ptp(X))
+        allowance = ROUND_TOL * np.ptp(X, axis=1).max()
         U = self.bounds(sample, C)
         opt = [k for k, (status, _) in enumerate(solutions) if status == OPTIMAL]
         assert opt
@@ -334,13 +352,13 @@ class TestPruning:
         assert (self.bounds(separable_sample(3), 0.4) == np.inf).all()
 
     @pytest.mark.parametrize("name, C", [
-        (name, C) for name in ("separable", "flipped", "tied")
+        (name, C) for name in ("separable", "flipped", "tied", "tiny")
         for C in (None, 1.0, 10.0, 1e6)
     ] + [("tied", 0.4)])
     def test_matches_unpruned_reference(self, name, C):
         sample = SAMPLES[name]()
         ref = reference_train(sample, C)
-        got = _train(sample, C, SEP_TOL)
+        got, _ = _train(sample, penalty(C))
         if ref is None:
             assert got is None
             return
@@ -351,8 +369,10 @@ class TestPruning:
         solve = svm._solve_assignment
         monkeypatch.setattr(svm, "_solve_assignment",
                             lambda *args: calls.append(args) or solve(*args))
-        train_hard(separable_sample())
-        assert 1 <= len(calls) <= 40  # of 750
+        for train in (train_hard, lambda sample: train_soft(sample, 10.0)):
+            calls.clear()
+            train(separable_sample())
+            assert 1 <= len(calls) <= 3  # of 750
 
 
 def random_bounded_lp(rng):
@@ -550,3 +570,63 @@ class TestClassify:
         model = train_hard(sample)
         with pytest.raises(ValueError):
             classify(model, TropicalPoint((0.0, 1.0)))
+
+
+def gaussian_halves():
+    """A Gaussian 10 x 4 sample, the first half class 0."""
+    X = np.random.default_rng(4).normal(size=(10, 4))
+    return LabeledSample(tuple(TropicalPoint(tuple(r)) for r in X.tolist()), (0,) * 5 + (1,) * 5)
+
+
+def fits(sample):
+    """The hard and the C = 10 fit of a sample, each as its assignment
+    and its omega, margin and objective, or NotSeparableError."""
+    out = []
+    for train in (train_hard, lambda s: train_soft(s, 10.0)):
+        try:
+            m = train(sample)
+        except NotSeparableError:
+            out.append(NotSeparableError)
+            continue
+        out.append((m.assignment, np.array(m.omega.coords), m.margin, m.objective))
+    return out
+
+
+class TestUnitFree:
+    UNIT_SAMPLES = {"separable": separable_sample, "gaussian": gaussian_halves}
+
+    @pytest.mark.parametrize("name", UNIT_SAMPLES)
+    def test_power_of_two_scaling(self, name):
+        # d(cx, cy) = c d(x, y), and every training threshold is a ratio of
+        # the sample's spread: at c = 2^k the same assignment wins, and
+        # omega, the margin and the objective scale by c bit for bit
+        sample = self.UNIT_SAMPLES[name]()
+        unit, moved = fits(sample), []
+        for k in (-30, -20, -10, 10, 30):
+            c = 2.0**k
+            for mode, a, b in zip(("hard", "soft"), unit, fits(scaled(sample, c))):
+                if a is NotSeparableError or b is NotSeparableError:
+                    same = a is b
+                else:
+                    same = (a[0] == b[0] and (c * a[1]).tobytes() == b[1].tobytes()
+                            and (c * a[2], c * a[3]) == (b[2], b[3]))
+                if not same:
+                    moved.append((mode, k))
+        assert moved == []
+
+    @pytest.mark.parametrize("name", UNIT_SAMPLES)
+    def test_other_representatives(self, name):
+        # the LP's right-hand sides are differences within one point, so
+        # another representative of a point changes nothing but round-off,
+        # even where the shift dwarfs the sample
+        sample = scaled(self.UNIT_SAMPLES[name](), 2.0**-30)
+        points = list(sample.points)
+        points[0], points[3] = points[0].shifted(3.0), points[3].shifted(-5.0)
+        shifted = LabeledSample(tuple(points), sample.labels)
+        for a, b in zip(fits(sample), fits(shifted)):
+            if a is NotSeparableError or b is NotSeparableError:
+                assert a is b
+                continue
+            assert a[0] == b[0]
+            assert b[2] == pytest.approx(a[2], rel=1e-6)
+            assert b[3] == pytest.approx(a[3], rel=1e-6)
