@@ -72,10 +72,36 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors leave as a CliError (exit 2 with an envelope), not as
-    usage text and SystemExit; subparsers inherit the class."""
+    usage text and SystemExit; each command's parser is one too."""
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}", EXIT_PARSE)
+
+
+class _Subparser:
+    """Stands in for a command's parser until a call names the command.
+    It records the arguments and defaults that build_parser gives it, and
+    builds the _Parser only when argparse hands it the command's arguments:
+    a call then builds two parsers, not ten, and building all ten took
+    most of a short call's time."""
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+        self.arguments = []
+        self.defaults = {}
+
+    def add_argument(self, *args, **kwargs):
+        self.arguments.append((args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self.defaults.update(kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        for a, kw in self.arguments:
+            parser.add_argument(*a, **kw)
+        parser.set_defaults(**self.defaults)
+        return parser.parse_known_args(args, namespace)
 
 
 def _round_floats(obj):
@@ -205,13 +231,13 @@ def _points(X: np.ndarray) -> list[TropicalPoint]:
 
 
 def write_svg(path: str, coords, labels=None):
-    """Minimal scatter plot; one circle marker per sample point."""
+    """Minimal scatter plot; one circle marker per sample point.  Each axis
+    spans the points' range, at any scale; points that all share a
+    coordinate sit in the middle of that axis."""
     xs = [c[0] for c in coords]
     ys = [c[1] for c in coords]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span_x = max(hi_x - lo_x, 1e-9)
-    span_y = max(hi_y - lo_y, 1e-9)
+    lo_x, span_x = min(xs), max(xs) - min(xs)
+    lo_y, span_y = min(ys), max(ys) - min(ys)
     W = H = 400
     pad = 30
     parts = [
@@ -221,8 +247,10 @@ def write_svg(path: str, coords, labels=None):
     ]
     palette = ["#1f77b4", "#d62728"]
     for idx, (x, y) in enumerate(coords):
-        px = pad + (x - lo_x) / span_x * (W - 2 * pad)
-        py = H - pad - (y - lo_y) / span_y * (H - 2 * pad)
+        fx = (x - lo_x) / span_x if span_x else 0.5
+        fy = (y - lo_y) / span_y if span_y else 0.5
+        px = pad + fx * (W - 2 * pad)
+        py = H - pad - fy * (H - 2 * pad)
         color = palette[labels[idx] % 2] if labels else palette[0]
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{color}"/>')
     parts.append("</svg>")
@@ -483,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--header", action="store_true",
                         help="CSV inputs carry a header row")
     parser.add_argument("--quiet", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     p = sub.add_parser("metric", help="tropical distance of two vectors")
     p.add_argument("a")

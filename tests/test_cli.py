@@ -435,6 +435,31 @@ class TestPcaCommand:
         circles = [el for el in svg.iter() if el.tag.endswith("circle")]
         assert len(circles) == 6
 
+    def test_svg_places_points_alike_at_any_scale(self, capsys, tmp_path):
+        # each axis spans the coordinates' range with no absolute floor, so
+        # at x2^-40 every circle sits where it does at unit scale
+        trees = simulate_equidistant(SimConfig(5, 1.0, 5, 15))
+        X = np.array([cophenetic(t).values for t in trees])
+        circles = []
+        for k in (0, -40):
+            pts = tmp_path / f"x{k}.csv"
+            pts.write_text("".join(",".join(map(repr, r)) + "\n" for r in np.ldexp(X, k).tolist()))
+            prefix = tmp_path / f"x{k}"
+            code, _ = run(capsys, "pca", str(pts), "-s", "3", "--out-prefix", str(prefix))
+            assert code == 0
+            svg = ET.parse(f"{prefix}.svg").getroot()
+            circles.append([(float(el.get("cx")), float(el.get("cy")))
+                            for el in svg.iter() if el.tag.endswith("circle")])
+        assert circles[1] == circles[0]
+        xs, ys = zip(*circles[0])
+        assert (min(xs), max(xs), min(ys), max(ys)) == (30.0, 370.0, 30.0, 370.0)
+
+    def test_svg_centers_a_constant_coordinate(self, tmp_path):
+        cli.write_svg(tmp_path / "c.svg", [(1.0, 2.0), (1.0, 3.0)])
+        svg = ET.parse(tmp_path / "c.svg").getroot()
+        circles = [(el.get("cx"), el.get("cy")) for el in svg.iter() if el.tag.endswith("circle")]
+        assert circles == [("200.00", "370.00"), ("200.00", "30.00")]
+
     def test_s_equals_rows_gives_zero(self, capsys, tmp_path):
         pts = tmp_path / "u4.csv"
         write_u4_csv(pts, count=4)
@@ -686,6 +711,58 @@ class TestDeterminism:
         _, a = run(capsys, "--seed", "3", "pca", str(pts), "-s", "3")
         _, b = run(capsys, "--seed", "3", "pca", str(pts), "-s", "3")
         assert a == b
+
+
+class TestCommandParsers:
+    """build_parser builds a command's parser only when a call names it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("svm", "head", "u4")}
+        paths["svm"].write_text("0,1,2,0\n0,2,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n")
+        paths["head"].write_text("a,b,c\n0,1,2\n0,2,1\n0,0,3\n")
+        write_u4_csv(paths["u4"])
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "0,1,2", "0,2,1"],
+        ["--header", "fw", "{head}"],
+        ["frechet", "{u4}", "--check-ultrametric", "4"],
+        ["pca", "{u4}", "-s", "3"],
+        ["svm", "train", "{svm}"],
+        ["svm", "train", "{svm}", "--mode", "soft", "--C", "10"],
+        ["tree", "check", "{u4}"],
+        ["--seed", "2", "tree", "simulate", "--n", "5", "--count", "3", "--height", "2"],
+        [], ["--help"], ["bogus"], ["--tol", "x", "fw", "{u4}"], ["fw"],
+        ["fw", "{u4}", "extra"], ["pca", "x.csv"], ["svm", "fit", "{svm}"],
+        ["metric", "--help"], ["tree", "--help"], ["tree", "check"],
+    ])
+    def test_same_outcome_as_eager_parsers(self, capsys, monkeypatch, files, argv):
+        # exit code and stdout (results, envelopes, help) are those of a
+        # parser whose nine command parsers are all built up front
+        def outcome():
+            try:
+                code = main([a.format(**files) for a in argv])
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+            return code, capsys.readouterr().out
+
+        lazy = outcome()
+        monkeypatch.setattr(cli, "_Subparser", cli._Parser)
+        assert lazy == outcome()
+
+    def test_a_call_builds_two_parsers(self, capsys, monkeypatch, files):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert main(["svm", "train", files["svm"]]) == 0
+        assert built == ["tropstat", "tropstat svm"]
+        capsys.readouterr()
 
 
 # --- the exit-code contract under random argv --------------------------------
