@@ -347,7 +347,7 @@ def cmd_svm(args):
         raise CliError("predict requires --model", EXIT_BAD_PARAM)
     try:
         model = load_model(args.model)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CliError(f"bad model file: {exc}", EXIT_PARSE)
     X = read_points(args.data, args.header)
     if model.omega.dim != X.shape[1]:

@@ -368,19 +368,19 @@ def train_soft(sample: LabeledSample, C: float) -> SvmModel:
     return _fit(sample, C)
 
 
-def _labels(model: SvmModel, X: np.ndarray, tol: float = SEP_TOL) -> np.ndarray:
+def _labels(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Labels of the rows of X: 0 where the class-P designated coordinate
     of x + omega wins (ties to 0), else 1."""
     w = model.omega.as_array()
     ip, iq = model.assignment.ip, model.assignment.iq
-    return np.where(X[:, ip] + w[ip] >= X[:, iq] + w[iq] - tol, 0, 1)
+    return np.where(X[:, ip] + w[ip] >= X[:, iq] + w[iq] - SEP_TOL, 0, 1)
 
 
-def classify(model: SvmModel, x: TropicalPoint, tol: float = SEP_TOL) -> int:
+def classify(model: SvmModel, x: TropicalPoint) -> int:
     """0 if the class-P designated coordinate of x + omega wins (ties to 0)."""
     if x.dim != model.omega.dim:
         raise ValueError("dimension mismatch")
-    return int(_labels(model, x.as_array()[None, :], tol)[0])
+    return int(_labels(model, x.as_array()[None, :])[0])
 
 
 def training_accuracy(model: SvmModel, sample: LabeledSample) -> float:

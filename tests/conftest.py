@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_simplex import LinearProgram
 from tropstat import (
     SimConfig,
     TropicalPoint,
@@ -52,25 +51,6 @@ def ultrametric_points(n_leaves: int, seed: int, count: int) -> list[TropicalPoi
     """Cophenetic vectors of random equidistant trees, as tropical points."""
     trees = simulate_equidistant(SimConfig(n_leaves, 1.0, seed, count))
     return [TropicalPoint(cophenetic(t).values) for t in trees]
-
-
-def fw_lp(V: np.ndarray) -> LinearProgram:
-    """The compact Fermat-Weber LP of the sample rows V (Lin & Yoshida,
-    *Tropical Fermat-Weber points*, 2018), the reference for the location
-    code: minimize sum (a_i - b_i) over free y, a, b subject to
-    b_i <= y_j - v_ij <= a_i.
-
-    The s*e upper-bound rows y_j - a_i <= v_ij (point-major) come first,
-    then the s*e lower-bound rows b_i - y_j <= -v_ij.
-    """
-    s, e = V.shape
-    Yrep = np.tile(np.eye(e), (s, 1))
-    point = np.repeat(np.eye(s), e, axis=0)
-    zero = np.zeros_like(point)
-    rows = np.vstack([np.hstack([Yrep, -point, zero]), np.hstack([-Yrep, zero, point])])
-    rhs = np.concatenate([V.ravel(), -V.ravel()])
-    objective = np.concatenate([np.zeros(e), np.ones(s), -np.ones(s)])
-    return LinearProgram(objective, rows, rhs, n_free=e + 2 * s)
 
 
 def grid_minimum(sample, per_point, lo=-6.0, hi=6.0, step=0.01):

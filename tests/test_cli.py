@@ -713,6 +713,46 @@ class TestDeterminism:
         assert a == b
 
 
+# Every command once, in a fresh process, on tiny inputs; it prints the exit
+# codes and the top-level modules of the test extras that got imported
+EVERY_COMMAND = """
+import contextlib, io, json, sys
+from tropstat.cli import main
+d = sys.argv[1]
+argvs = [
+    ["metric", "0,1,2", "0,2,1"],
+    ["fw", f"{d}/u4.csv"],
+    ["frechet", f"{d}/u4.csv"],
+    ["pca", f"{d}/u4.csv", "-s", "2"],
+    ["svm", "train", f"{d}/svm.csv", "--model-out", f"{d}/m.json"],
+    ["svm", "predict", f"{d}/p.csv", "--model", f"{d}/m.json"],
+    ["--seed", "1", "tree", "simulate", "--n", "4", "--count", "2"],
+    ["tree", "check", f"{d}/u4.csv"],
+    ["--seed", "1", "lda", f"{d}/u4.csv", f"{d}/u4.csv"],
+    ["--seed", "1", "regress", f"{d}/u4.csv"],
+]
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+extras = {"scipy", "jsonschema", "hypothesis", "pytest"}
+print(json.dumps([codes, sorted(extras & {m.split(".")[0] for m in sys.modules})]))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    # the test extras of pyproject.toml are denied by name: the site hooks
+    # and numpy's own modules also load, so a stdlib allowlist would depend
+    # on the environment
+    (tmp_path / "u4.csv").write_text("1.2,1.8,2,1.8,2,2\n0.2,2,2,2,2,1\n1,1,1,1,1,1\n")
+    (tmp_path / "svm.csv").write_text(LABELLED)
+    (tmp_path / "p.csv").write_text("0,1,2\n0,2,1\n")
+    proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND, str(tmp_path)],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[0] * 10, []]
+
+
 class TestCommandParsers:
     """build_parser builds a command's parser only when a call names it."""
 
@@ -969,6 +1009,11 @@ CONTRACT_CASES = [
     (["regress", "@p"], {"p": NEAR_MAX}, 4),
     (["tree", "newick2ultra", "@t"], {"t": "a;\n"}, 2),
     (["tree", "newick2ultra", "@t"], {"t": "((a:1e308,b:1e308):1e308,c:1e308);\n"}, 2),
+    # model files with an integer too large for a float, and with JSON
+    # nested past the decoder's recursion limit; appended last as well
+    (["svm", "predict", "@p", "--model", "@m"],
+     {"p": POINTS, "m": model_text(omega=[0, 10**400, 0])}, 2),
+    (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": "[" * 10**5 + "]" * 10**5}, 2),
 ]
 NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
             if any(isinstance(content, bytes) for content in files.values())]

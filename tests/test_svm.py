@@ -1,12 +1,12 @@
 """Tropical SVM training, classification, and model serialization."""
 
 import functools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 import scipy.optimize as scipy_opt
 
-from dense_simplex import LinearProgram, solve_lp, svm_lp
 from tropstat import (
     LabeledSample,
     NotSeparableError,
@@ -27,6 +27,7 @@ from tropstat.svm import (
     SEP_TOL,
     UNBOUNDED,
     _assignment_array,
+    _assignment_rows,
     _bounded_simplex,
     _labels,
     _margin_bounds,
@@ -100,11 +101,50 @@ def penalty(C):
     return np.inf if C is None else C
 
 
+class LinearProgram(NamedTuple):
+    """Minimize objective @ x subject to A_ub @ x <= b_ub, with x[:n_free]
+    free and x[n_free:] >= 0.  A maximum is written as the minimum of the
+    negated objective."""
+
+    objective: Sequence[float]
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    n_free: int
+
+
+def svm_lp(X, labels, asg, C=None):
+    """The full separation LP of one assignment, from the program's own
+    rows (svm._assignment_rows): max z, or z - C * total slack, as the
+    minimum of its negation.
+
+    Variables are omega_0..omega_{e-1} and z, free, then (soft mode) one
+    nonnegative slack per row, ordered alpha (margin rows), beta (sector
+    rows), gamma; the rows are point-major.
+    """
+    plus, minus, rhs = _assignment_rows(X, labels, asg)
+    n, e = X.shape
+    m = n * e
+    rows = np.zeros((m, e + 1))
+    rows[np.arange(m), plus.ravel()] = 1.0
+    rows[np.arange(m), minus.ravel()] = -1.0
+    rows[::e, e] = 1.0
+    objective = np.zeros(e + 1)
+    objective[e] = -1.0
+    if C is not None:
+        slack = np.column_stack([np.arange(n), n + np.arange(n),
+                                 2 * n + np.arange(n * (e - 2)).reshape(n, e - 2)])
+        S = np.zeros((m, m))
+        S[np.arange(m), slack.ravel()] = -1.0
+        rows = np.hstack([rows, S])
+        objective = np.concatenate([objective, np.full(m, C)])
+    return LinearProgram(objective, rows, rhs.ravel(), n_free=e + 1)
+
+
 def highs(lp):
     """(status, maximum) of a full assignment LP by scipy HiGHS; the
     maximum is None unless the status is OPTIMAL, and HiGHS's own status
     4 (numerical difficulties) is returned as 4."""
-    n = lp.n_vars()
+    n = len(lp.objective)
     res = scipy_opt.linprog(
         lp.objective, A_ub=lp.A_ub, b_ub=lp.b_ub,
         bounds=[(None, None)] * lp.n_free + [(0.0, None)] * (n - lp.n_free),
@@ -266,45 +306,33 @@ class TestSampleValidation:
 
 
 class TestBuilder:
-    @pytest.mark.parametrize("C", [None, 10.0])
-    def test_matches_row_by_row_reference(self, C):
-        """Every assignment of the 5+5 fixture: the rows match the
+    @pytest.mark.parametrize("name, C", [
+        ("separable", None), ("separable", 10.0), ("tied", None), ("tied", 0.4), ("tied", 10.0),
+    ])
+    def test_matches_row_by_row_reference(self, name, C):
+        """Every assignment of the 5+5 fixture and of the tied 3+3 sample,
+        whose LPs have many degenerate vertices: the rows match the
         row-by-row LP bit for bit, the status and value match HiGHS on it,
         and the recovered point meets each of its rows."""
-        sample = separable_sample()
+        sample, solutions = every_lp(name, C)
         X = np.array([p.coords for p in sample.points])
         statuses = []
-        for asg in reference_assignments(sample.dim):
+        for asg, (want, best) in zip(reference_assignments(sample.dim), solutions):
             ref = full_lp(sample, asg, C)
             assert lp_bytes(svm_lp(X, sample.labels, asg, C)) == lp_bytes(ref)
             status, value, x = _solve_assignment(X, sample.labels, asg, penalty(C))
-            want, best = highs(ref)
             assert status == want
             if status == OPTIMAL:
-                assert abs(value - best) <= 1e-9 * (1.0 + abs(best))
+                assert value == pytest.approx(best, rel=1e-9, abs=1e-12)
                 assert meets_every_row(ref, x)
                 objective = -np.asarray(ref.objective)
                 assert np.dot(objective, x[:len(objective)]) == pytest.approx(value, abs=1e-12)
             statuses.append(status)
         assert len(statuses) == 750 and OPTIMAL in statuses
 
-    @pytest.mark.parametrize("C", [None, 0.4, 10.0])
-    def test_matches_dense_reference(self, C):
-        """The tied 3+3 sample, whose LPs have many degenerate vertices:
-        every assignment's status and value match the dense reference
-        simplex on the full LP."""
-        sample = tied(separable_sample(3))
-        X = np.array([p.coords for p in sample.points])
-        for asg in reference_assignments(sample.dim):
-            status, value, _ = _solve_assignment(X, sample.labels, asg, penalty(C))
-            ref = solve_lp(svm_lp(X, sample.labels, asg, C))
-            assert status == ref.status
-            if status == OPTIMAL:
-                assert value == pytest.approx(-ref.objective_value, rel=1e-9, abs=1e-12)
-
     def test_solves_the_lp_on_which_the_dense_simplex_cycles(self):
         # assignment 5 at C = 1e100 on the CLI's 5+5 training file: Bland's
-        # rule on the dense tableau revisits a basis (tests/test_solver.py)
+        # rule on the LP's dense tableau revisits a basis through round-off
         two = make_two_class_sample(
             SimConfig(4, 1.0, 2, 5), SimConfig(4, 1.0, 102, 5), separation=1.0
         )
