@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import TropicalPoint, trop_distance
-from .datagen import SimConfig, simulate_equidistant
+from .datagen import SimConfig, simulate_merges
 from .experimental import fit_lda, fit_regression, regression_objective
 from .location import (
     check_ultrametric_closure,
@@ -45,14 +45,14 @@ from .svm import (
     training_accuracy,
 )
 from .treeio import (
-    _build_tree,
+    _clades,
     _leaf_names,
     _leaves_for,
+    _newick,
+    _single_linkage,
     cophenetic,
     parse_newick,
-    serialize_newick,
     three_point_check,
-    topology_id,
 )
 
 EXIT_OK = 0
@@ -407,7 +407,7 @@ def cmd_tree(args):
         if not all(verdicts):
             raise CliError(f"row {verdicts.index(False) + 1} fails the three-point "
                            "condition", EXIT_NOT_ULTRAMETRIC)
-        newicks = [serialize_newick(_build_tree(row, names)) for row in X]
+        newicks = [_newick(merges, names) for merges in _single_linkage(X)]
         _write_lines(newicks, args.out)
         return emit("tree-ultra2newick", {"n_trees": len(newicks)},
                     quiet=True if not args.out else args.quiet)
@@ -421,8 +421,8 @@ def cmd_tree(args):
             "n_leaves": len(names),
         }
         if len(names) == 4 and all(verdicts):
-            ids = {topology_id(_build_tree(row, names)) for row in X}
-            result["topology_count"] = len(ids)
+            keys = {_clades(merges) for merges in _single_linkage(X)}
+            result["topology_count"] = len(keys)
         return emit("tree-check", result, quiet=args.quiet)
 
     # simulate
@@ -432,14 +432,14 @@ def cmd_tree(args):
         cfg = SimConfig(args.n, args.height, args.seed or 0, args.count)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAM)
-    trees = simulate_equidistant(cfg)
-    _write_lines([serialize_newick(t) for t in trees], args.out)
-    ids = {topology_id(t) for t in trees}
+    merge_lists = simulate_merges(cfg)
+    names = _leaf_names(args.n)
+    _write_lines([_newick(merges, names) for merges in merge_lists], args.out)
     result = {
-        "n_trees": len(trees),
+        "n_trees": len(merge_lists),
         "n_leaves": args.n,
         "height": args.height,
-        "distinct_topologies": len(ids),
+        "distinct_topologies": len({_clades(merges) for merges in merge_lists}),
     }
     return emit("tree-simulate", result, seed=args.seed or 0,
                 quiet=True if not args.out else args.quiet)

@@ -1,23 +1,24 @@
 """Simulation of random equidistant trees and labeled ultrametric samples.
 
 Streams are driven by numpy's PCG64 generator, seeded explicitly, so a
-given SimConfig always reproduces the same tree sequence.
+given SimConfig always reproduces the same tree sequence.  A tree is drawn
+as its merge list, and a PhyloTree is built only where one is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .treeio import (
     DissimilarityMap,
     PhyloTree,
-    TreeNode,
+    _clades,
     _leaf_names,
+    _tree_from_merges,
     cophenetic,
-    topology_id,
 )
 
 
@@ -39,34 +40,41 @@ class SimConfig:
             raise ValueError("count must be >= 1")
 
 
-def _tree_stream(rng: np.random.Generator, n: int, height: float) -> Iterator[PhyloTree]:
-    """Endless stream of random equidistant trees of the given height.
+def _merge_stream(
+    rng: np.random.Generator, n: int, height: float
+) -> Iterator[list[tuple[int, int, float]]]:
+    """Endless stream of random equidistant trees of the given height, each
+    as its merge list (a, b, h), a cluster named by its smallest leaf
+    position and a < b (see treeio._tree_from_merges).
 
     N-1 merge heights are sorted uniforms on (0, height), rescaled so the
-    root sits exactly at height; merging pairs are chosen uniformly.
+    root sits exactly at height; merging pairs are chosen uniformly from
+    the live lineages, listed leaves first, then clusters as they formed.
     """
-    names = _leaf_names(n)
     while True:
         times = np.sort(rng.uniform(0.0, height, size=n - 1))
         times = times * (height / times[-1])
         times[-1] = height  # root exactly at the configured height
-        lineages = [(TreeNode(name=nm), 0.0) for nm in names]
-        for t in times:
-            i, j = sorted(rng.choice(len(lineages), size=2, replace=False))
-            (na, ha), (nb, hb) = lineages[i], lineages[j]
-            na.length = t - ha
-            nb.length = t - hb
-            parent = TreeNode(children=[na, nb])
+        lineages, merges = list(range(n)), []
+        for t in times.tolist():
+            i, j = sorted(rng.choice(len(lineages), size=2, replace=False).tolist())
+            a, b = sorted((lineages[i], lineages[j]))
             del lineages[j], lineages[i]  # i < j
-            lineages.append((parent, float(t)))
-        yield PhyloTree(lineages[0][0])
+            lineages.append(a)
+            merges.append((a, b, t))
+        yield merges
+
+
+def simulate_merges(cfg: SimConfig) -> list[list[tuple[int, int, float]]]:
+    """The merge lists of simulate_equidistant(cfg)'s trees."""
+    stream = _merge_stream(np.random.default_rng(cfg.seed), cfg.n_leaves, cfg.height)
+    return [next(stream) for _ in range(cfg.count)]
 
 
 def simulate_equidistant(cfg: SimConfig) -> list[PhyloTree]:
     """cfg.count random equidistant trees, deterministic per seed."""
-    rng = np.random.default_rng(cfg.seed)
-    stream = _tree_stream(rng, cfg.n_leaves, cfg.height)
-    return [next(stream) for _ in range(cfg.count)]
+    names = _leaf_names(cfg.n_leaves)
+    return [_tree_from_merges(m, names) for m in simulate_merges(cfg)]
 
 
 @dataclass
@@ -94,14 +102,15 @@ def make_two_class_sample(
         b_trees = simulate_equidistant(cfgB)
     else:
         rng = np.random.default_rng(cfgB.seed)
-        stream = _tree_stream(rng, cfgB.n_leaves, cfgB.height * (1.0 + separation))
-        first = next(stream)
-        target = topology_id(first)
-        b_trees = [first]
-        while len(b_trees) < cfgB.count:
-            t = next(stream)
-            if topology_id(t) == target:
-                b_trees.append(t)
+        stream = _merge_stream(rng, cfgB.n_leaves, cfgB.height * (1.0 + separation))
+        kept = [next(stream)]
+        target = _clades(kept[0])
+        while len(kept) < cfgB.count:
+            merges = next(stream)
+            if _clades(merges) == target:
+                kept.append(merges)
+        names = _leaf_names(cfgB.n_leaves)
+        b_trees = [_tree_from_merges(m, names) for m in kept]
     ultrametrics = [cophenetic(t) for t in a_trees + b_trees]
     labels = [0] * len(a_trees) + [1] * len(b_trees)
     return TwoClassSample(ultrametrics, labels)

@@ -409,13 +409,27 @@ def model_from_dict(data: dict) -> SvmModel:
     indices = (asg.ip, asg.jp, asg.iq, asg.jq)
     if not all(type(k) is int and 0 <= k < omega.dim for k in indices):
         raise ValueError(f"assignment indices must be integers in 0..{omega.dim - 1}")
+    mode, C, margin = data["mode"], data.get("C"), data["margin"]
+    if mode not in (HARD, SOFT):
+        raise ValueError(f"mode must be {HARD!r} or {SOFT!r}, got {mode!r}")
+    if mode == HARD and C is not None:
+        raise ValueError(f"a {HARD} model has no C, got {C!r}")
+    if mode == SOFT and not (_finite_number(C) and C > 0):
+        raise ValueError(f"C must be a positive finite number, got {C!r}")
+    if not _finite_number(margin):
+        raise ValueError(f"margin must be a finite number, got {margin!r}")
     return SvmModel(
         omega=omega,
         assignment=asg,
-        margin=float(data["margin"]),
-        mode=data["mode"],
-        C=data.get("C"),
+        margin=float(margin),
+        mode=mode,
+        C=None if C is None else float(C),
     )
+
+
+def _finite_number(value) -> bool:
+    """Whether a JSON value is a finite int or float (a bool is neither)."""
+    return type(value) in (int, float) and np.isfinite(float(value))
 
 
 def save_model(model: SvmModel, path: str):

@@ -287,24 +287,30 @@ def _square(vals, diagonal: float) -> np.ndarray:
     return D
 
 
-def _single_linkage(D: np.ndarray) -> list[tuple[int, int, float]]:
-    """Single-linkage merges (a, b, d), a < b, of a symmetric matrix with an
-    inf diagonal; D is overwritten.
+def _single_linkage(X) -> list[list[tuple[int, int, float]]]:
+    """The equidistant tree of each pair vector in a (k, e) stack, as its
+    single-linkage merges (a, b, h): clusters a < b join at height h = d / 2.
 
-    Row b merges into row a by an elementwise min, so every live row is the
-    smallest leaf position of its cluster.  The row-major argmin breaks ties
-    in d toward the smaller first leaf, then the smaller second leaf.
+    One pass runs all k maps together, on their square matrices with an
+    inf diagonal.  In each, row b merges into row a by an elementwise min,
+    so every live row is the smallest leaf position of its cluster.  The
+    row-major argmin breaks ties in d toward the smaller first leaf, then
+    the smaller second leaf.
     """
-    n = len(D)
-    merges = []
-    for _ in range(n - 1):
-        a, b = divmod(int(D.argmin()), n)
-        merges.append((a, b, float(D[a, b])))
-        row = np.minimum(D[a], D[b])
-        row[a] = np.inf
-        D[a], D[:, a] = row, row
-        D[b], D[:, b] = np.inf, np.inf
-    return merges
+    D = _square(X, np.inf)
+    k, n = D.shape[:2]
+    stack = np.arange(k)
+    a, b, d = (np.empty((n - 1, k), dtype=dtype) for dtype in (int, int, float))
+    for step in range(n - 1):
+        a[step], b[step] = np.divmod(D.reshape(k, n * n).argmin(axis=1), n)
+        sa, sb = a[step], b[step]
+        d[step] = D[stack, sa, sb]
+        row = np.minimum(D[stack, sa], D[stack, sb])
+        row[stack, sa] = np.inf
+        D[stack, sa], D[stack, :, sa] = row, row
+        D[stack, sb], D[stack, :, sb] = np.inf, np.inf
+    h = d / 2.0
+    return [list(zip(*m)) for m in zip(a.T.tolist(), b.T.tolist(), h.T.tolist())]
 
 
 def _leaves_for(e: int) -> int:
@@ -335,14 +341,39 @@ def ultrametric_to_tree(u: DissimilarityMap, tol: float = STRUCT_TOL) -> PhyloTr
 def _build_tree(values, names) -> PhyloTree:
     """ultrametric_to_tree of the pair vector values over the leaf names,
     without the three-point check, for callers that have already made it."""
+    return _tree_from_merges(_single_linkage([values])[0], names)
+
+
+def _tree_from_merges(merges, names) -> PhyloTree:
+    """The tree of a merge list (a, b, h) over the leaf names: clusters are
+    named by their smallest leaf position, a < b, and join at height h."""
     nodes = [TreeNode(name=name) for name in names]
     heights = [0.0] * len(names)
-    for a, b, d in _single_linkage(_square(values, np.inf)):
-        h = d / 2.0
+    for a, b, h in merges:
         nodes[a].length = h - heights[a]
         nodes[b].length = h - heights[b]
         nodes[a], heights[a] = TreeNode(children=[nodes[a], nodes[b]]), h
     return PhyloTree(nodes[0])
+
+
+def _newick(merges, names) -> str:
+    """serialize_newick of _tree_from_merges(merges, names), written straight
+    from the merges; names must sort in position order, as _leaf_names do."""
+    text, heights = list(names), [0.0] * len(names)
+    for a, b, h in merges:
+        text[a] = f"({text[a]}:{_fmt_len(h - heights[a])},{text[b]}:{_fmt_len(h - heights[b])})"
+        heights[a] = h
+    return text[0] + ";"
+
+
+def _clades(merges) -> frozenset[int]:
+    """The clades of a merge list's tree as leaf bitmasks: two trees on the
+    same leaves have equal keys exactly when their topology_ids are equal."""
+    masks, clades = [1 << leaf for leaf in range(len(merges) + 1)], []
+    for a, b, _ in merges:
+        masks[a] |= masks[b]
+        clades.append(masks[a])
+    return frozenset(clades)
 
 
 def topology_id(t: PhyloTree) -> str:

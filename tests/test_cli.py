@@ -25,6 +25,7 @@ from tropstat import (
     SimConfig,
     cophenetic,
     make_two_class_sample,
+    serialize_newick,
     simulate_equidistant,
     topology_id,
     ultrametric_to_tree,
@@ -667,6 +668,17 @@ class TestTreeCommands:
         assert len(lines) == 50
         assert all(ln.endswith(";") for ln in lines)
 
+    @pytest.mark.parametrize("seed, n, count", [(7, 4, 200), (3, 9, 40), (0, 20, 15)])
+    def test_simulate_matches_the_library_trees(self, capsys, tmp_path, seed, n, count):
+        out_file = tmp_path / "sim.nwk"
+        code, out = run(capsys, "--seed", str(seed), "tree", "simulate", "--n", str(n),
+                        "--count", str(count), "--height", "2.5", "--out", str(out_file))
+        trees = simulate_equidistant(SimConfig(n, 2.5, seed, count))
+        assert code == 0
+        assert out_file.read_text().splitlines() == [serialize_newick(t) for t in trees]
+        assert envelope_of(out)["result"]["distinct_topologies"] == len(
+            {topology_id(t) for t in trees})
+
     def test_simulate_requires_n_and_count(self, capsys):
         code, _ = run(capsys, "tree", "simulate")
         assert code == 5
@@ -827,7 +839,7 @@ MODEL = {
     "omega": [0.0, 0.5, -0.5],
     "assignment": {"ip": 0, "jp": 1, "iq": 1, "jq": 2},
     "margin": 0.25,
-    "mode": "hard",
+    "mode": "HARD",
     "C": None,
 }
 JSON_JUNK = [None, 7, -1, 1.5, "x", True, [], [0, 1], {}]
@@ -1014,6 +1026,12 @@ CONTRACT_CASES = [
     (["svm", "predict", "@p", "--model", "@m"],
      {"p": POINTS, "m": model_text(omega=[0, 10**400, 0])}, 2),
     (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": "[" * 10**5 + "]" * 10**5}, 2),
+    # model files whose mode, C and margin svm train cannot write; appended
+    # last as well
+    (["svm", "predict", "@p", "--model", "@m"],
+     {"p": POINTS, "m": model_text(mode="bogus", C="x", margin=float("nan"))}, 2),
+    (["svm", "predict", "@p", "--model", "@m"],
+     {"p": POINTS, "m": model_text().replace('"margin": 0.25', '"margin": 1e400')}, 2),
 ]
 NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
             if any(isinstance(content, bytes) for content in files.values())]

@@ -8,10 +8,42 @@ from tropstat import (
     cophenetic,
     is_equidistant,
     make_two_class_sample,
+    serialize_newick,
     simulate_equidistant,
     three_point_check,
     topology_id,
 )
+from tropstat.treeio import PhyloTree, TreeNode, _leaf_names
+
+
+def reference_tree_stream(rng, n, height):
+    """Random equidistant trees built node by node from a lineage list,
+    with the same generator calls in the same order as the merge stream."""
+    while True:
+        times = np.sort(rng.uniform(0.0, height, size=n - 1))
+        times = times * (height / times[-1])
+        times[-1] = height
+        lineages = [(TreeNode(name=nm), 0.0) for nm in _leaf_names(n)]
+        for t in times:
+            i, j = sorted(rng.choice(len(lineages), size=2, replace=False))
+            (na, ha), (nb, hb) = lineages[i], lineages[j]
+            na.length, nb.length = t - ha, t - hb
+            del lineages[j], lineages[i]
+            lineages.append((TreeNode(children=[na, nb]), float(t)))
+        yield PhyloTree(lineages[0][0])
+
+
+def reference_two_class_b(cfg, separation):
+    """Class B of make_two_class_sample at separation > 0, by rejection on
+    topology_id of the reference trees."""
+    stream = reference_tree_stream(
+        np.random.default_rng(cfg.seed), cfg.n_leaves, cfg.height * (1.0 + separation))
+    trees = [next(stream)]
+    while len(trees) < cfg.count:
+        t = next(stream)
+        if topology_id(t) == topology_id(trees[0]):
+            trees.append(t)
+    return trees
 
 
 class TestConfig:
@@ -60,6 +92,23 @@ class TestSimulation:
     def test_max_pairwise_distance_is_twice_height(self):
         for t in simulate_equidistant(SimConfig(4, 1.5, 3, 10)):
             assert max(cophenetic(t).values) == pytest.approx(3.0, abs=1e-9)
+
+
+class TestMergeStream:
+    @pytest.mark.parametrize("n, height, seed", [(3, 1.0, 0), (4, 2.5, 7), (9, 0.3, 11), (20, 1.0, 5)])
+    def test_trees_match_the_lineage_reference(self, n, height, seed):
+        stream = reference_tree_stream(np.random.default_rng(seed), n, height)
+        for t in simulate_equidistant(SimConfig(n, height, seed, 30)):
+            want = next(stream)
+            assert serialize_newick(t) == serialize_newick(want)
+            assert cophenetic(t).values == cophenetic(want).values
+
+    @pytest.mark.parametrize("n, seed, separation", [(4, 2, 0.5), (5, 6, 1.0), (4, 12, 2.0)])
+    def test_class_b_matches_the_rejection_reference(self, n, seed, separation):
+        cfgB = SimConfig(n, 1.0, seed, 8)
+        s = make_two_class_sample(SimConfig(n, 1.0, 1, 3), cfgB, separation)
+        want = [cophenetic(t).values for t in reference_two_class_b(cfgB, separation)]
+        assert [u.values for u in s.ultrametrics[3:]] == want
 
 
 class TestTwoClass:

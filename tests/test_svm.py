@@ -573,6 +573,31 @@ class TestClassify:
         again = model_from_dict(model_to_dict(model))
         assert again.margin == pytest.approx(model.margin)
 
+    def test_soft_dict_round_trip(self):
+        model = train_soft(separable_sample(3), C=10.0)
+        again = model_from_dict(model_to_dict(model))
+        assert (again.mode, again.C, again.margin) == ("SOFT", 10.0, model.margin)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"mode": "bogus"}, "mode must be"),
+        ({"mode": "hard"}, "mode must be"),
+        ({"C": 1.0}, "has no C"),
+        ({"mode": "SOFT"}, "C must be"),
+        ({"mode": "SOFT", "C": "x"}, "C must be"),
+        ({"mode": "SOFT", "C": True}, "C must be"),
+        ({"mode": "SOFT", "C": 0}, "C must be"),
+        ({"mode": "SOFT", "C": float("inf")}, "C must be"),
+        ({"margin": float("nan")}, "margin must be"),
+        ({"margin": float("inf")}, "margin must be"),
+        ({"margin": False}, "margin must be"),
+        ({"margin": "0.5"}, "margin must be"),
+    ])
+    def test_dict_rejects_what_train_cannot_write(self, changes, message):
+        data = model_to_dict(train_hard(separable_sample(3)))
+        data.update(changes)
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(data)
+
     def test_labels_match_per_point_reference(self):
         """The matrix kernel against the per-point rule it replaced, with
         rows placed exactly on and next to the decision boundary."""

@@ -26,7 +26,16 @@ from tropstat import (
     ultrametric_to_tree,
 )
 from tropstat import treeio
-from tropstat.treeio import PhyloTree, TreeNode, _build_tree, _leaf_names
+from tropstat.treeio import (
+    PhyloTree,
+    TreeNode,
+    _build_tree,
+    _clades,
+    _leaf_names,
+    _newick,
+    _single_linkage,
+    _tree_from_merges,
+)
 from conftest import (
     FIG_LEFT_NEWICK,
     FIG_LEFT_VECTOR,
@@ -551,6 +560,50 @@ class TestReconstruction:
         assert topology_id(a) == topology_id(b)
         c = parse_newick("((a:1,c:1):1,b:2);")
         assert topology_id(a) != topology_id(c)
+
+
+def merge_list_corpus():
+    """Stacks of pair vectors, one per leaf count 3-11: 20 tied integer
+    ultrametrics and the cophenetic maps of 20 simulated trees each."""
+    rng = np.random.default_rng(29)
+    stacks = []
+    for n in range(3, 12):
+        tied = [tied_ultrametric(n, rng) for _ in range(20)]
+        simulated = [cophenetic(t).values for t in simulate_equidistant(SimConfig(n, 1.0, n, 20))]
+        stacks.append(np.array(tied + simulated))
+    return stacks
+
+
+def merge_orders(live, height=1.0):
+    """Every merge list that joins the clusters live (sorted leaf
+    positions), one merge per unit of height."""
+    if len(live) == 1:
+        yield []
+        return
+    for a, b in combinations(live, 2):
+        for tail in merge_orders([c for c in live if c != b], height + 1.0):
+            yield [(a, b, height)] + tail
+
+
+class TestMergeLists:
+    def test_stack_matches_rows_run_alone(self):
+        for X in merge_list_corpus():
+            assert _single_linkage(X) == [_single_linkage(row[None])[0] for row in X]
+
+    def test_newick_matches_serialized_tree(self):
+        for X in merge_list_corpus():
+            names = _leaf_names(treeio._leaves_for(X.shape[1]))
+            for row, merges in zip(X, _single_linkage(X)):
+                assert _newick(merges, names) == serialize_newick(_build_tree(row, names))
+
+    def test_clades_key_the_4_leaf_topologies(self):
+        names = _leaf_names(4)
+        lists = list(merge_orders([0, 1, 2, 3]))
+        ids = [topology_id(_tree_from_merges(m, names)) for m in lists]
+        keys = [_clades(m) for m in lists]
+        assert len(lists) == 18 and len(set(ids)) == 15
+        for (id1, key1), (id2, key2) in combinations(zip(ids, keys), 2):
+            assert (key1 == key2) == (id1 == id2)
 
 
 class TestPostorderWalks:
