@@ -10,9 +10,9 @@ bounds every LP optimum from shortest paths of that difference graph
 bound can still beat the running best.  The winner and its vector are
 those of the solved LPs, as with full enumeration.  Each LP is solved
 through its dual, a min-cost flow with one side constraint on at most four
-key nodes, by a small bounded-variable simplex (Ahuja, Magnanti & Orlin,
-*Network Flows*, 1993).  Training thresholds are ratios of the sample's
-spread, so training scales with the data.
+key nodes, by pushing flow round the cycles through them (Ahuja, Magnanti
+& Orlin, *Network Flows*, 1993, ch. 9-10).  Training thresholds are ratios
+of the sample's spread, so training scales with the data.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
 SEP_TOL = 1e-9  # per unit of the spread in training; absolute when labeling
-CYCLE_TOL = 1e-6  # per unit of the spread, well above PIVOT_TOL
+CYCLE_TOL = 1e-6  # per unit of the spread, well above _flow's ROUND_TOL
 ROUND_TOL = 1e-9  # per unit of the spread, or of the largest right-hand side
-PIVOT_TOL = 1e-9  # per unit of the largest cost, bound or ratio
 
 
 class NotSeparableError(Exception):
@@ -103,7 +102,8 @@ def _assignment_array(e: int) -> np.ndarray:
 
 # An assignment's four key nodes ip, jp, iq, jq are positions 0..3.  Only
 # they have outgoing arcs, so every simple cycle of its difference graph,
-# and every simple path between two of them, visits key nodes only.
+# and every simple path between two of them, visits key nodes only.  The
+# margin bound and the LP solver _flow both run over these cycles.
 _CYCLES = [p + p[:1] for L in (2, 3, 4)
            for p in itertools.permutations(range(4), L) if p[0] == min(p)]
 
@@ -187,34 +187,32 @@ def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment, C: float):
     row of _assignment_rows; at C = inf every slack is 0, the hard margin.
 
     Only the keys ip, jp, iq, jq are minus nodes, so a row into a non-key
-    coordinate binds only its own omega.  The LP is solved through the dual
-    of the rows into keys: minimize sum rhs_r y_r subject to inflow =
-    outflow at every key but the first and sum y_r = 1 over the margin
-    rows, 0 <= y_r <= C.  z and omega at the other keys are the multipliers
-    of its final basis, omega is 0 at the first key, a non-key omega_l is
-    the largest value its rows allow, and a slack is lhs - rhs on a row
-    whose y_r sits at C.  x is omega, z and the slacks of the margin rows,
-    the sector rows and the rest, point-major; None unless OPTIMAL.
-    RuntimeError if the point misses a row or the dual value by more than
-    round-off.
+    coordinate binds only its own omega.  The rows into keys are the arcs
+    minus -> plus of the LP's dual, solved by _flow with cap C and target 1;
+    z and omega at the keys are its multipliers, a non-key omega_l is the
+    largest value its rows allow, and a slack is lhs - rhs on a row whose
+    y_r sits at C.  x is omega, z and the slacks of the margin rows, the
+    sector rows and the rest, point-major; None unless OPTIMAL.  RuntimeError
+    if the point misses a row or the dual value by more than round-off.
     """
     plus, minus, rhs = _assignment_rows(X, labels, asg)
     margin = np.zeros(plus.shape)
     margin[:, 0] = 1.0
     keys = list(dict.fromkeys((asg.ip, asg.jp, asg.iq, asg.jq)))
     kept = np.isin(plus, keys)
-    p, q, c = plus[kept], minus[kept], rhs[kept]
-    A = np.vstack([(p == v) * 1.0 - (q == v) for v in keys[1:]] + [margin[kept]])
+    position = np.zeros(X.shape[1], dtype=int)
+    position[keys] = range(len(keys))
+    c = rhs[kept]
     # Flows are counted in units of a power of two near C (1 at C = inf):
     # that rounds as counting in ones does, and keeps sums near C finite.
     unit = float(np.ldexp(1.0, min(1023, int(np.frexp(C)[1]))))
-    status, y, pi, at_upper = _bounded_simplex(A, np.eye(len(keys))[-1] / unit, c,
-                                               np.full(len(c), C / unit))
-    if status != OPTIMAL:  # the dual's status is the reverse of the LP's
-        return {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}[status], None, None
+    status, y, pi, z = _flow(position[minus[kept]], position[plus[kept]], c, margin[kept],
+                             len(keys), C / unit, 1.0 / unit)
+    if status != OPTIMAL:
+        return status, None, None
+    at_upper = y == C / unit
     omega = np.full(X.shape[1], np.inf)
-    omega[keys] = np.concatenate([[0.0], pi[:-1]])
-    z = float(pi[-1])
+    omega[keys] = pi
     np.minimum.at(omega, plus[~kept], omega[minus[~kept]] + rhs[~kept])
     lhs = omega[plus] - omega[minus] + z * margin
     slack = np.zeros(plus.shape)
@@ -233,72 +231,71 @@ def _solve_assignment(X: np.ndarray, labels, asg: SectorAssignment, C: float):
     return OPTIMAL, value * unit + 0.0, x + 0.0
 
 
-# A ratio past the float range never blocks; any other overflow fails a check.
-@np.errstate(over="ignore", invalid="ignore")
-def _bounded_simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndarray):
-    """Minimize c @ y subject to A @ y = b and 0 <= y <= upper, where A has
-    a few rows and upper may hold inf: (status, y, pi, at_upper).
+def _flow(tail, head, cost, margin, k, cap, target):
+    """Minimize cost @ y over circulations y on key positions 0..k-1, arc r
+    running tail[r] -> head[r] with 0 <= y_r <= cap, whose margin arcs
+    (margin[r] = 1) carry target in total: (status, y, omega, z).  The
+    status is that of the LP this is the dual of, max target * z - cap *
+    total slack subject to omega[head] - omega[tail] + z * margin - slack <=
+    cost; omega (0 at the first key) and z are its multipliers.
 
-    Two phases over one artificial per row; Phase 2 freezes the
-    artificials by setting their upper bound to 0.  Bland's rule picks the
-    smallest eligible column to enter and the smallest blocking variable
-    to leave, the entering column's own bound flip included, and the basis
-    is inverted afresh at every pivot.  At OPTIMAL, pi holds the
-    multipliers of the final basis (pi @ B = c_B) and at_upper marks the
-    columns that sit nonbasic at their upper bound.  Exact Bland's rule
-    never returns to a basis; RuntimeError is raised when round-off does,
-    or makes a value non-finite.
+    A residual arc is a row forward (y_r < cap; cost c_r, margin count m_r)
+    or backward (y_r > 0; -c_r, -m_r).  A simple cycle is one of _CYCLES
+    with one residual arc per hop, the cheapest of its margin count.
+    Phase A keeps the margin arcs closed and, while the cheapest cycle costs
+    less than -ROUND_TOL * max|cost|, pushes its smallest residual round
+    it; flows stay 0 or cap, so each push moves a whole cap and lowers the
+    cost by more than the threshold, and an infinite push means the LP is
+    INFEASIBLE.  Phase B sends target over the margin arcs, each time round
+    the cycle of least cost per crossed unit, z; none means UNBOUNDED.  Each
+    push raises the crossed flow, by at least cap unless it is the last,
+    along a cycle of zero reduced cost at z, and z never falls: y stays a
+    cheapest circulation for cost - z * margin, and once target has crossed
+    that is the Lagrangian certificate of optimality.  omega is the
+    shortest-path potential of the final residual arcs at cost - z * margin.
     """
-    m, n = A.shape
-    A = np.hstack([A, np.diag(np.where(b < 0, -1.0, 1.0))])
-    hi = np.concatenate([upper, np.full(m, np.inf)])
-    basis = list(range(n, n + m))
-    at_hi = np.zeros(n + m, dtype=bool)
-    flow = np.abs(b).max()  # the scale of the round-off in x
-    seen = set()
-    for phase, cost in enumerate([np.repeat([0.0, 1.0], [n, m]), np.concatenate([c, np.zeros(m)])]):
-        if phase:
-            if x[n:].sum() > PIVOT_TOL * flow:
-                return INFEASIBLE, None, None, None
-            hi[n:] = 0.0
-        tol = PIVOT_TOL * np.abs(cost).max()
-        while True:
-            Binv = np.linalg.inv(A[:, basis])
-            x = np.where(at_hi, hi, 0.0)
-            x[basis] = Binv @ (b - A @ x)
-            pi = cost[basis] @ Binv
-            d = cost - pi @ A
-            key = (phase, *basis, at_hi.tobytes())
-            if key in seen or not (np.isfinite(x).all() and np.isfinite(d).all()):
-                raise RuntimeError(f"simplex stopped after {len(seen)} pivots: round-off "
-                                   "repeated a basis or made a value non-finite")
-            seen.add(key)
-            eligible = (hi > 0) & np.where(at_hi, d > tol, d < -tol)
-            eligible[basis] = False
-            if not eligible.any():
-                break
-            j = int(eligible.argmax())
-            # x_B moves by -step * t as column j moves t away from its bound
-            step = (-1.0 if at_hi[j] else 1.0) * (Binv @ A[:, j])
-            xb, down, up = x[basis], step > PIVOT_TOL, step < -PIVOT_TOL
-            ratio = np.full(m, np.inf)
-            ratio[down] = xb[down] / step[down]
-            ratio[up] = (xb[up] - hi[basis][up]) / step[up]
-            ratio = np.maximum(ratio, 0.0)
-            t = min(ratio.min(), hi[j])
-            if t == np.inf:
-                return UNBOUNDED, None, None, None
-            near = t + PIVOT_TOL * (flow + t)
-            leave = min([basis[i] for i in np.flatnonzero(ratio <= near)]
-                        + ([j] if hi[j] <= near else []))
-            if leave == j:
-                at_hi[j] = not at_hi[j]
-            else:
-                i = basis.index(leave)
-                at_hi[leave] = step[i] < 0
-                basis[i] = j
-                at_hi[j] = False
-    return OPTIMAL, x[:n], pi, at_hi[:n]
+    n = len(cost)
+    ends = list(zip(np.r_[tail, head].tolist(), np.r_[head, tail].tolist()))
+    c, m = np.r_[cost, -cost].tolist(), np.r_[margin, -margin].tolist()
+    # costliest first, so that arcs() keeps the cheapest arc of each group
+    order = sorted(range(2 * n), key=lambda a: (ends[a], m[a], c[a]), reverse=True)
+    res = np.r_[np.full(n, cap), np.zeros(n)]  # arc a + n is arc a backward
+
+    def arcs():  # the cheapest residual arc of each hop and margin count
+        return list({(ends[a], m[a]): a for a in order if res[a] > 0}.values())
+
+    def best(crossing):  # (cost per crossed unit, crossed count, arcs) or None
+        hops = {}
+        for a in arcs():
+            if crossing or not m[a]:
+                hops.setdefault(ends[a], []).append(a)
+        paths = [p for cycle in _CYCLES
+                 for p in itertools.product(*(hops.get(h, ()) for h in zip(cycle, cycle[1:])))]
+        return min([(sum(c[a] for a in p) / max(d, 1.0), d, p) for p in paths
+                    if (d := sum(m[a] for a in p)) > 0 or not crossing],
+                   key=lambda cycle: cycle[0], default=None)
+
+    def push(path, limit):
+        amount = min(limit, *res[list(path)])
+        for a in path:
+            b = (a + n) % (2 * n)
+            res[a], res[b] = (0.0, cap) if res[a] == amount else (res[a] - amount, res[b] + amount)
+        return amount
+
+    while (cycle := best(False)) and cycle[0] < -ROUND_TOL * np.abs(cost).max(initial=0.0):
+        if push(cycle[2], np.inf) == np.inf:
+            return INFEASIBLE, None, None, None
+    left = target
+    while left > 0:
+        if not (cycle := best(True)):
+            return UNBOUNDED, None, None, None
+        z, crossed, path = cycle
+        moved = push(path, left / crossed)
+        left = 0.0 if moved == left / crossed else left - moved * crossed
+    omega = [0.0] * k
+    for a in arcs() * k:  # k rounds of Bellman-Ford
+        omega[ends[a][1]] = min(omega[ends[a][1]], omega[ends[a][0]] + c[a] - z * m[a])
+    return OPTIMAL, res[n:], np.array(omega) - omega[0], z
 
 
 def _train(sample: LabeledSample, C: float):
@@ -404,6 +401,8 @@ def model_to_dict(model: SvmModel) -> dict:
 
 
 def model_from_dict(data: dict) -> SvmModel:
+    if type(data["omega"]) is not list or not all(map(_finite_number, data["omega"])):
+        raise ValueError(f"omega must be an array of finite numbers, got {data['omega']!r}")
     omega = canonicalize(data["omega"])
     asg = SectorAssignment(**data["assignment"])
     indices = (asg.ip, asg.jp, asg.iq, asg.jq)

@@ -504,7 +504,7 @@ class TestSvmCommands:
     @pytest.mark.parametrize("C", ["1e308", "1.7e308"])
     def test_huge_C_trains_and_terminates(self, capsys, train_csv, C):
         # the sample is separable, so the slack penalty near the float range
-        # reproduces the hard margin; the timeout catches a simplex that
+        # reproduces the hard margin; the timeout catches an LP solve that
         # never stops
         proc = subprocess.run(
             [sys.executable, "-m", "tropstat.cli", "svm", "train", str(train_csv),
@@ -1032,6 +1032,13 @@ CONTRACT_CASES = [
      {"p": POINTS, "m": model_text(mode="bogus", C="x", margin=float("nan"))}, 2),
     (["svm", "predict", "@p", "--model", "@m"],
      {"p": POINTS, "m": model_text().replace('"margin": 0.25', '"margin": 1e400')}, 2),
+    # omega as a string, as strings and as booleans, which a float cast
+    # would take; appended last as well
+    (["svm", "predict", "@p", "--model", "@m"], {"p": POINTS, "m": model_text(omega="012")}, 2),
+    (["svm", "predict", "@p", "--model", "@m"],
+     {"p": POINTS, "m": model_text(omega=["0", "1", "2"])}, 2),
+    (["svm", "predict", "@p", "--model", "@m"],
+     {"p": POINTS, "m": model_text(omega=[True, False, 1])}, 2),
 ]
 NOT_UTF8 = [(argv, files) for argv, files, _ in CONTRACT_CASES
             if any(isinstance(content, bytes) for content in files.values())]

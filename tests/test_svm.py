@@ -28,7 +28,7 @@ from tropstat.svm import (
     UNBOUNDED,
     _assignment_array,
     _assignment_rows,
-    _bounded_simplex,
+    _flow,
     _labels,
     _margin_bounds,
     _solve_assignment,
@@ -403,72 +403,61 @@ class TestPruning:
             assert 1 <= len(calls) <= 3  # of 750
 
 
-def random_bounded_lp(rng):
-    """A small LP min c @ y, A @ y = b, 0 <= y <= upper with integer data,
-    so ties and degenerate vertices are common; some upper bounds are
-    inf, and b is 0 on about half of the rows."""
-    m, n = int(rng.integers(1, 5)), int(rng.integers(2, 9))
-    A = rng.integers(-2, 3, size=(m, n)).astype(float)
-    b = rng.integers(-3, 4, size=m) * (rng.random(m) < 0.5)
-    c = rng.integers(-3, 4, size=n).astype(float)
-    upper = np.where(rng.random(n) < 0.4, np.inf, rng.integers(0, 4, size=n))
-    return A, b.astype(float), c, upper
+def random_circulation(rng):
+    """A small input of svm._flow: k <= 4 key positions and at most 11 arcs
+    with integer costs, so ties are common, about 40 % of them margin
+    arcs, and one cap of 0.5, 1, 2.5 or inf."""
+    k, n = int(rng.integers(2, 5)), int(rng.integers(1, 12))
+    tail = rng.integers(0, k, size=n)
+    head = (tail + rng.integers(1, k, size=n)) % k
+    cost = rng.integers(-3, 4, size=n).astype(float)
+    margin = (rng.random(n) < 0.4).astype(float)
+    return tail, head, cost, margin, k, float(rng.choice([0.5, 1.0, 2.5, np.inf]))
 
 
-def linprog_eq(A, b, c, upper):
-    res = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, None if u == np.inf else u)
-                                                       for u in upper], method="highs")
-    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status], res.fun
+def circulation_primal(tail, head, cost, margin, k, cap):
+    """The LP whose dual _flow solves at target 1: max z - cap * total
+    slack subject to omega[head] - omega[tail] + z * margin - slack <=
+    cost, over free omega and z and (cap < inf) one slack per arc."""
+    n = len(cost)
+    rows = np.zeros((n, k + 1))
+    np.add.at(rows, (np.arange(n), head), 1.0)
+    np.add.at(rows, (np.arange(n), tail), -1.0)
+    rows[:, k] = margin
+    objective = -np.eye(k + 1)[k]
+    if cap < np.inf:
+        rows = np.hstack([rows, -np.eye(n)])
+        objective = np.concatenate([objective, np.full(n, cap)])
+    return LinearProgram(objective, rows, cost, n_free=k + 1)
 
 
-class TestBoundedSimplex:
-    def test_matches_linprog(self):
+class TestFlow:
+    def test_matches_highs_on_the_primal(self):
+        """Status and value against HiGHS on the primal (on the dual, HiGHS
+        cannot tell the primal's status where both are infeasible), and
+        the flow and multipliers against the optimality conditions."""
         rng = np.random.default_rng(11)
         seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-        for _ in range(600):
-            A, b, c, upper = random_bounded_lp(rng)
-            status, y, pi, at_upper = _bounded_simplex(A, b, c, upper)
-            want, value = linprog_eq(A, b, c, upper)
+        for _ in range(400):
+            tail, head, cost, margin, k, cap = random_circulation(rng)
+            status, y, omega, z = _flow(tail, head, cost, margin, k, cap, 1.0)
+            want, best = highs(circulation_primal(tail, head, cost, margin, k, cap))
             assert status == want
             seen[status] += 1
             if status != OPTIMAL:
                 continue
-            assert c @ y == pytest.approx(value, abs=1e-9)
-            assert np.abs(A @ y - b).max() <= 1e-9
-            assert (y >= -1e-12).all() and (y <= upper + 1e-12).all()
-            assert (y[at_upper] == upper[at_upper]).all()
-            # the multipliers certify the optimum: no column can improve it
-            d = c - pi @ A
-            assert (d[~at_upper & (y < upper)] >= -1e-9).all()
-            assert (d[at_upper] <= 1e-9).all()
-            assert pi @ b == pytest.approx(value - upper[at_upper] @ d[at_upper], abs=1e-9)
-        assert min(seen.values()) >= 50, seen
-
-    def test_degenerate_vertex(self):
-        # every vertex of this LP is y = 0, and many bases represent it
-        A = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
-        status, y, pi, _ = _bounded_simplex(A, np.zeros(2), np.array([-1.0, 1.0, 1.0, 1.0]),
-                                            np.full(4, np.inf))
-        assert status == OPTIMAL and (y == 0.0).all()
-        assert (np.array([-1.0, 1.0, 1.0, 1.0]) - pi @ A >= -1e-12).all()
-
-    def test_bound_flip(self):
-        # the cheapest column flips to its upper bound without a basis change
-        A = np.array([[1.0, 1.0, 1.0]])
-        status, y, _, at_upper = _bounded_simplex(A, np.array([3.0]), np.array([-2.0, -1.0, 0.0]),
-                                                  np.array([1.0, 1.0, 5.0]))
-        assert status == OPTIMAL and y.tolist() == [1.0, 1.0, 1.0]
-        assert at_upper.tolist() == [True, True, False]
-
-    @pytest.mark.parametrize("A, b, c, upper, status", [
-        # y0 - y1 = 1 and y0 + y1 = -1 have no nonnegative solution
-        ([[1.0, -1.0], [1.0, 1.0]], [1.0, -1.0], [1.0, 1.0], [np.inf, np.inf], INFEASIBLE),
-        ([[1.0, -1.0]], [0.0], [-1.0, 0.0], [np.inf, np.inf], UNBOUNDED),
-        ([[1.0, -1.0]], [0.0], [-1.0, 0.0], [2.0, np.inf], OPTIMAL),
-    ])
-    def test_statuses(self, A, b, c, upper, status):
-        got = _bounded_simplex(np.array(A), np.array(b), np.array(c), np.array(upper))
-        assert got[0] == status
+            assert cost @ y == pytest.approx(best, abs=1e-9)
+            net = np.zeros(k)
+            np.add.at(net, head, y)
+            np.add.at(net, tail, -y)
+            assert np.abs(net).max() <= 1e-12 and margin @ y == pytest.approx(1.0, abs=1e-12)
+            assert (y >= 0.0).all() and (y <= cap).all()
+            # an arc below cap costs at least its potential difference, and
+            # an arc carrying flow at most
+            reduced = cost - (omega[head] - omega[tail] + z * margin)
+            assert (reduced[y < cap] >= -1e-9).all() and (reduced[y > 0.0] <= 1e-9).all()
+            assert omega[0] == 0.0
+        assert min(seen.values()) >= 30, seen
 
 
 class TestHardMargin:
@@ -591,6 +580,9 @@ class TestClassify:
         ({"margin": float("inf")}, "margin must be"),
         ({"margin": False}, "margin must be"),
         ({"margin": "0.5"}, "margin must be"),
+        ({"omega": "012"}, "omega must be"),
+        ({"omega": ["0", "1", "2"]}, "omega must be"),
+        ({"omega": [True, False, 1]}, "omega must be"),
     ])
     def test_dict_rejects_what_train_cannot_write(self, changes, message):
         data = model_to_dict(train_hard(separable_sample(3)))
@@ -632,10 +624,12 @@ def gaussian_halves():
 
 
 def fits(sample):
-    """The hard and the C = 10 fit of a sample, each as its assignment
-    and its omega, margin and objective, or NotSeparableError."""
+    """The hard fit and the fits at C = 10, 1 and 0.4 of a sample, each as
+    its assignment and its omega, margin and objective, or
+    NotSeparableError.  At C = 1 the optimal margin can be an interval, and
+    below 1 the margin unit crosses several rows."""
     out = []
-    for train in (train_hard, lambda s: train_soft(s, 10.0)):
+    for train in (train_hard, *(lambda s, C=C: train_soft(s, C) for C in (10.0, 1.0, 0.4))):
         try:
             m = train(sample)
         except NotSeparableError:
@@ -657,7 +651,7 @@ class TestUnitFree:
         unit, moved = fits(sample), []
         for k in (-30, -20, -10, 10, 30):
             c = 2.0**k
-            for mode, a, b in zip(("hard", "soft"), unit, fits(scaled(sample, c))):
+            for mode, a, b in zip(("hard", 10.0, 1.0, 0.4), unit, fits(scaled(sample, c))):
                 if a is NotSeparableError or b is NotSeparableError:
                     same = a is b
                 else:
