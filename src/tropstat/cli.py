@@ -46,12 +46,12 @@ from .svm import (
 )
 from .treeio import (
     _clades,
+    _Forest,
     _leaf_names,
     _leaves_for,
     _newick,
+    _scan,
     _single_linkage,
-    cophenetic,
-    parse_newick,
     three_point_check,
 )
 
@@ -356,27 +356,42 @@ def cmd_svm(args):
 
 
 def _read_newick_maps(path):
-    """The cophenetic map of the tree on each non-blank line of a Newick
-    file; a line that does not parse, or whose tree has no map (fewer than
-    2 leaves, or path lengths that overflow), is reported as path:line, and
-    so is the first tree whose leaf names differ from the first tree's."""
+    """The cophenetic maps of the trees on the non-blank lines of a Newick
+    file, one row each, and their sorted leaf names.  The first line that
+    does not parse, whose tree has no map (fewer than 2 leaves, or path
+    lengths that overflow) or whose leaf names differ from the first tree's
+    is reported as path:line; the trees are scanned one line at a time, and
+    their maps computed in one pass."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    maps = []
+    if not lines:
+        raise CliError(f"{path}: no trees", EXIT_PARSE)
+    overflow = "dissimilarities must be finite"
+    forest, fault = _Forest(), None
     for lineno, line in lines:
         try:
-            maps.append(cophenetic(parse_newick(line)))
+            names, _, length, depth = _scan(line)
+            if forest.add(names, length, depth):
+                continue
+            fault = lineno, "leaf names differ from the first tree's", EXIT_DIMENSION
+            alone = _Forest()  # a tree whose own map overflows is reported as that
+            alone.add(names, length, depth)
+            if not np.isfinite(alone.maps()).all():
+                fault = lineno, overflow, EXIT_PARSE
         except ValueError as exc:  # NewickError is a ValueError
-            raise CliError(f"{path}:{lineno}: {exc}", EXIT_PARSE)
-        if maps[-1].leaf_names != maps[0].leaf_names:
-            raise CliError(f"{path}:{lineno}: leaf names differ from the first tree's",
-                           EXIT_DIMENSION)
-    if not maps:
-        raise CliError(f"{path}: no trees", EXIT_PARSE)
-    return maps
+            fault = lineno, str(exc), EXIT_PARSE
+        break
+    X = forest.maps() if forest.ranks else np.empty((0, 0))
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        fault = lines[finite.argmin()][0], overflow, EXIT_PARSE
+    if fault:
+        lineno, message, code = fault
+        raise CliError(f"{path}:{lineno}: {message}", code)
+    return X, forest.names
 
 
 def _write_lines(lines, out):
@@ -391,14 +406,10 @@ def _write_lines(lines, out):
 
 def cmd_tree(args):
     if args.action == "newick2ultra":
-        vectors = _read_newick_maps(args.input)
-        lines = [",".join(f"{v:.12g}" for v in u.values) for u in vectors]
-        _write_lines(lines, args.out)
-        result = {
-            "n_trees": len(vectors),
-            "n_leaves": vectors[0].n_leaves,
-            "leaf_names": list(vectors[0].leaf_names),
-        }
+        X, names = _read_newick_maps(args.input)
+        row = ",".join(["%.12g"] * X.shape[1])  # as f"{v:.12g}" for each v
+        _write_lines([row % tuple(u.tolist()) for u in X], args.out)
+        result = {"n_trees": len(X), "n_leaves": len(names), "leaf_names": names}
         return emit("tree-newick2ultra", result, quiet=True if not args.out else args.quiet)
 
     if args.action == "ultra2newick":

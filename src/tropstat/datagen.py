@@ -16,9 +16,9 @@ from .treeio import (
     DissimilarityMap,
     PhyloTree,
     _clades,
+    _cophenetic_maps,
     _leaf_names,
     _tree_from_merges,
-    cophenetic,
 )
 
 
@@ -111,6 +111,7 @@ def make_two_class_sample(
                 kept.append(merges)
         names = _leaf_names(cfgB.n_leaves)
         b_trees = [_tree_from_merges(m, names) for m in kept]
-    ultrametrics = [cophenetic(t) for t in a_trees + b_trees]
+    X, names = _cophenetic_maps(a_trees + b_trees)
+    ultrametrics = [DissimilarityMap(len(names), tuple(row), tuple(names)) for row in X.tolist()]
     labels = [0] * len(a_trees) + [1] * len(b_trees)
     return TwoClassSample(ultrametrics, labels)

@@ -6,6 +6,7 @@ one-point value-and-subgradient oracle once per step.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,9 +36,9 @@ def minimize_convex(
     best_z, best_val, stall = z, np.inf, 0
     for i in range(MAX_ITERS + 1):  # the start, then one call per step
         val, g = f(z)
-        if not np.isfinite(val):
+        if not math.isfinite(float(val)):
             raise ValueError("objective returned a non-finite value")
-        gn = np.linalg.norm(g)
+        gn = math.sqrt(g.dot(g))  # np.linalg.norm(g), bit for bit
         if i == 0:
             step = val / gn if gn else 0.0
             tol, min_step = DESCENT_TOL * val, MIN_STEP * step

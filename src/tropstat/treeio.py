@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,9 +19,9 @@ import numpy as np
 STRUCT_TOL = 1e-9
 MAX_DEPTH = 1000  # most open clades parse_newick accepts
 
-# a label or a branch length runs to the next delimiter
-_LABEL = re.compile(r"[^,():;]*")
-_LENGTH = re.compile(r":([^,():;]*)")
+# a node's label, then its optional ":" branch length, each running to the
+# next delimiter
+_NODE = re.compile(r"([^,():;]*)(?::([^,():;]*))?")
 
 
 class NewickError(ValueError):
@@ -74,52 +75,78 @@ def _postorder(root: TreeNode) -> list[TreeNode]:
 
 
 def parse_newick(text: str) -> PhyloTree:
-    """Parse one Newick tree ("name:length" style, semicolon-terminated).
+    """Parse one Newick tree ("name:length" style, semicolon-terminated)."""
+    names, labels, length, depth = _scan(text)
+    names, labels = iter(names), iter(labels)
+    below = [[] for _ in range(max(depth) + 2)]  # per depth, the nodes awaiting their parent
+    last = -1  # the previous node's depth
+    for x, d in zip(length, depth):
+        if d < last:  # a clade, one level above its last child
+            node = TreeNode(next(labels), x, below[d + 1])
+            below[d + 1] = []
+        else:
+            node = TreeNode(next(names), x)
+        below[d].append(node)
+        last = d
+    return PhyloTree(below[0][0])
 
-    One left-to-right scan with a stack of the open clades; a tree nesting
-    more than MAX_DEPTH clades is refused at the "(" that opens one too many.
+
+def _scan(text: str) -> tuple[list[str], list[Optional[str]], list[float], list[int]]:
+    """One Newick tree as flat lists: its leaf names in text order, its
+    clade labels (None where absent) in close-paren order, and the branch
+    length and depth of every node in postorder.  A clade follows its last
+    child in postorder, one level up, so these lists determine the tree
+    (see _leaf_mask and _parents).
+
+    One left-to-right scan with a stack of the open clades' "(" offsets; a
+    tree nesting more than MAX_DEPTH clades is refused at the "(" that opens
+    one too many.  Every defect raises NewickError at its offset.
     """
     s = text.strip()
     if not s:
         raise NewickError("empty input", 0)
-    stack: list[tuple[TreeNode, int]] = []  # open clades, each with its "(" offset
-    node, pos = None, 0
+    names, labels, length, depth = [], [], [], []
+    opened: list[int] = []  # the "(" offset of each open clade
+    pos, fresh = 0, True  # fresh: a node starts at pos, not a closed clade
     while True:
-        if node is None:  # a clade starts at pos
-            if s.startswith("(", pos):
-                if len(stack) == MAX_DEPTH:
-                    raise NewickError(f"tree nests deeper than {MAX_DEPTH} levels", pos)
-                stack.append((TreeNode(), pos))
-                pos += 1
-                continue
-            node = TreeNode()
-        # node's children are read; its optional label and branch length follow
-        label = _LABEL.match(s, pos)
-        node.name = label.group().strip() or None
-        pos = label.end()
-        if length := _LENGTH.match(s, pos):
-            at = length.start(1)
+        if fresh and s.startswith("(", pos):
+            if len(opened) == MAX_DEPTH:
+                raise NewickError(f"tree nests deeper than {MAX_DEPTH} levels", pos)
+            opened.append(pos)
+            pos += 1
+            continue
+        # the node's children are read; its optional label and branch length follow
+        node = _NODE.match(s, pos)
+        label, given = node.groups()
+        x = 0.0
+        if given is not None:
             try:
-                node.length = float(length.group(1))
+                x = float(given)
             except ValueError:
-                raise NewickError(f"bad branch length {length.group(1)!r}", at) from None
-            if not math.isfinite(node.length):
-                raise NewickError("branch length must be finite", at)
-            if node.length < 0:
-                raise NewickError("negative branch length", at)
-            pos = length.end()
-        if node.is_leaf and not node.name:
-            raise NewickError("unnamed leaf", pos)
-        if not stack:
+                raise NewickError(f"bad branch length {given!r}", node.start(2)) from None
+            if not 0.0 <= x < math.inf:  # false for nan too
+                if not math.isfinite(x):
+                    raise NewickError("branch length must be finite", node.start(2))
+                raise NewickError("negative branch length", node.start(2))
+        pos = node.end()
+        label = label.strip()
+        if fresh:
+            if not label:
+                raise NewickError("unnamed leaf", pos)
+            names.append(label)
+        else:
+            labels.append(label or None)
+        length.append(x)
+        depth.append(len(opened))
+        if not opened:
             break
-        parent, open_at = stack[-1]
-        parent.children.append(node)
         if s.startswith(",", pos):
-            node = None
+            fresh = True
         elif s.startswith(")", pos):
-            node = stack.pop()[0]
+            opened.pop()
+            fresh = False
         elif pos == len(s):
-            raise NewickError("unbalanced parentheses", open_at)
+            raise NewickError("unbalanced parentheses", opened[-1])
         else:
             raise NewickError(f"unexpected character {s[pos]!r}", pos)
         pos += 1
@@ -127,10 +154,29 @@ def parse_newick(text: str) -> PhyloTree:
         raise NewickError("missing terminating semicolon", pos)
     if pos + 1 < len(s):  # s is stripped, so anything after ";" is garbage
         raise NewickError("trailing garbage after semicolon", pos + 1)
-    try:
-        return PhyloTree(node)
-    except ValueError as exc:
-        raise NewickError(str(exc), 0) from exc
+    if len(set(names)) < len(names):
+        raise NewickError("duplicate leaf labels", 0)
+    return names, labels, length, depth
+
+
+def _leaf_mask(depth: np.ndarray) -> np.ndarray:
+    """Which nodes are leaves, for trees given by their postorder depths: a
+    clade follows its last child, one level deeper, and a leaf follows a
+    node no deeper than itself (or starts a tree)."""
+    return np.concatenate([[True], depth[1:] >= depth[:-1]])
+
+
+def _parents(depth: np.ndarray) -> np.ndarray:
+    """Each node's parent, a root its own, for trees given by their postorder
+    depths: the parent is the first later node one level up, as the nodes in
+    between are its later children's subtrees, all deeper."""
+    pos = np.arange(len(depth))
+    key = depth.astype(np.int64) * len(depth) + pos
+    by_level = np.argsort(depth, kind="stable")  # so key[by_level] is sorted
+    parent = by_level[np.searchsorted(key[by_level], key - len(depth))]
+    root = depth == 0
+    parent[root] = pos[root]
+    return parent
 
 
 def serialize_newick(t: PhyloTree) -> str:
@@ -216,27 +262,117 @@ class UltrametricPoint(DissimilarityMap):
 
 def cophenetic(t: PhyloTree) -> DissimilarityMap:
     """Path-length dissimilarity map of a tree, leaves sorted by name."""
-    names = t.leaf_names()
-    if len(names) < 2:
-        raise ValueError("need at least 2 leaves")
-    order = {name: k for k, name in enumerate(names)}
-    n = len(names)
-    dist = np.zeros((n, n))
-    below: dict[int, dict[int, float]] = {}  # node id -> {leaf: path to its parent}
-    for node in _postorder(t.root):
-        if node.is_leaf:
-            below[id(node)] = {order[node.name]: node.length}
-            continue
-        merged: dict[int, float] = {}
-        for ch in node.children:
-            sub = below.pop(id(ch))
-            for i, di in merged.items():
-                for j, dj in sub.items():
-                    dist[i, j] = dist[j, i] = di + dj
-            merged.update(sub)
-        below[id(node)] = {i: d + node.length for i, d in merged.items()}
-    values = dist[np.triu_indices(n, 1)]  # row-major order is lexicographic pair order
-    return DissimilarityMap(n, tuple(values.tolist()), tuple(names))
+    X, names = _cophenetic_maps([t])
+    return DissimilarityMap(len(names), tuple(X[0].tolist()), tuple(names))
+
+
+def _cophenetic_maps(trees) -> tuple[np.ndarray, list[str]]:
+    """The cophenetic maps of trees on one leaf set, as a (k, e) stack, and
+    their sorted leaf names."""
+    forest = _Forest()
+    for t in trees:
+        names, length, depth = [], [], []
+        stack = [(t.root, 0)]  # _postorder, reversed, with each node's depth
+        while stack:
+            node, d = stack.pop()
+            if not node.children:
+                names.append(node.name or "")
+            length.append(node.length)
+            depth.append(d)
+            stack.extend((ch, d + 1) for ch in node.children)
+        names.reverse(), length.reverse(), depth.reverse()
+        if not forest.add(names, length, depth):
+            raise ValueError("trees differ in their leaf names")
+    return forest.maps(), forest.names
+
+
+class _Forest:
+    """Trees on one leaf set, stacked for one cophenetic pass: the branch
+    lengths and depths of their nodes in postorder, tree after tree, as
+    _scan gives them, and each tree's leaves as name ranks in text order."""
+
+    def __init__(self):
+        self.length = array("d")
+        self.depth = array("i")
+        self.ranks = array("i")
+        self.names: Optional[list[str]] = None  # the first tree's, sorted
+        self._rank: dict[str, int] = {}
+
+    def add(self, names, length, depth) -> bool:
+        """Append a tree given by its distinct leaf names in text order and
+        its nodes' lengths and depths in postorder; False, appending nothing,
+        when its leaf names are not the first tree's."""
+        if len(names) < 2:
+            raise ValueError("need at least 2 leaves")
+        if self.names is None:
+            self.names = sorted(names)
+            self._rank = {name: r for r, name in enumerate(self.names)}
+        if len(names) != len(self.names):
+            return False
+        try:
+            self.ranks.extend([self._rank[name] for name in names])
+        except KeyError:
+            return False
+        self.length.extend(length)
+        self.depth.extend(depth)
+        return True
+
+    def maps(self) -> np.ndarray:
+        """The (k, e) cophenetic maps of the k trees, in lexicographic pair
+        order over the sorted names; a sum past the float range is inf.
+
+        Row r of the stack is its leaf r in text order.  Each row's chain of
+        ancestors gives its path sums, and the ends of their leaf ranges give
+        keys that one binary search runs through for every pair at once."""
+        n, rows = len(self.names), len(self.ranks)
+        depth = np.frombuffer(self.depth, dtype=np.intc)
+        leaf = _leaf_mask(depth)
+        leaves = np.flatnonzero(leaf)
+        levels = int(depth[leaves].max()) + 1
+        # every index below stays under one of these bounds
+        bound = max(rows * (n + 1), rows * levels, len(depth))
+        index = np.int32 if bound < 2**31 else np.int64
+        parent = _parents(depth).astype(index)
+        chain = np.empty((rows, levels), dtype=index)  # each leaf's ancestors, the root repeated
+        chain[:, 0] = leaves
+        for level in range(1, levels):
+            chain[:, level] = parent[chain[:, level - 1]]
+        # a node's leaf range ends at the count of leaves up to it in
+        # postorder; that count rises along a chain, and offset by n r it
+        # puts row r's keys above every earlier row's, so the whole key
+        # array is sorted
+        key = np.cumsum(leaf, dtype=index)[chain]
+        key += (n * np.arange(rows, dtype=index))[:, None]
+        a, b = np.triu_indices(n, 1)  # name ranks, in lexicographic pair order
+        row = np.frombuffer(self.ranks, dtype=np.intc).reshape(-1, n).argsort(axis=1)
+        row = row.astype(index) + n * np.arange(len(row), dtype=index)[:, None]
+        i, j = row[:, a], row[:, b]
+        ri, rj = np.minimum(i, j), np.maximum(i, j, out=j)  # the pair's rows, ri < rj
+        del i
+        # both paths end one level below the pair's lowest common ancestor:
+        # on ri's chain, below the first level whose range holds leaf rj, and
+        # on rj's chain, as far from the root
+        step = rj - ri
+        step *= levels
+        depth = depth[leaves].astype(index)
+        step += depth[rj]
+        step -= depth[ri]
+        ri *= n
+        ri += rj
+        del rj
+        at = np.searchsorted(key.ravel(), ri, side="right")
+        del ri, key
+        at -= 1
+        with np.errstate(over="ignore"):  # the caller reports an overflow
+            # path sums up each chain, leaf first: the additions, in their
+            # order, of the walk that adds a branch to every path below it
+            P = np.frombuffer(self.length)[chain].ravel()
+            del chain
+            np.cumsum(P.reshape(rows, levels), axis=1, out=P.reshape(rows, levels))
+            X = P[at]
+            at += step
+            X += P[at]
+        return X
 
 
 def is_equidistant(t: PhyloTree, tol: float = STRUCT_TOL) -> tuple[bool, float]:

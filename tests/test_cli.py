@@ -25,6 +25,7 @@ from tropstat import (
     SimConfig,
     cophenetic,
     make_two_class_sample,
+    parse_newick,
     serialize_newick,
     simulate_equidistant,
     topology_id,
@@ -644,6 +645,48 @@ class TestTreeCommands:
         assert code == 3
         assert envelope_of(out)["result"]["message"] == (
             f"{nw}:3: leaf names differ from the first tree's")
+
+    @pytest.mark.parametrize("trees, lineno, message, code", [
+        (["((a:1,b:1):1,c:2);", "((a:1,c:1):1,b:2);", "((a:1e308,b:1e308):1e308,c:1e308);",
+          "((b:1,c:1):1,a:2);"], 4, "dissimilarities must be finite", 2),
+        (["((a:1,b:1):1,c:2);", "(a:1,b:1,c:1);", "a;", "((b:1,c:1):1,a:2);"],
+         4, "need at least 2 leaves", 2),
+        (["((a:1,b:1):1,c:2);", "((a:1,c:1):1,b:2);", "((b:1,c:1):1,a:2);", "((a:1,b:1):1,d:2);"],
+         5, "leaf names differ from the first tree's", 3),
+        (["((a:1,b:1):1,c:2);", "((a:1,a:1):1,c:2);"], 3, "duplicate leaf labels (offset 0)", 2),
+        # an overflow is reported before a later line's fault, and before
+        # the leaf names of its own line
+        (["((a:1,b:1):1,c:2);", "((a:1e308,b:1e308):1e308,c:1e308);", "((a:1,b:1):1,c:2"],
+         3, "dissimilarities must be finite", 2),
+        (["((a:1,b:1):1,c:2);", "((x:1e308,y:1e308):1e308,z:1e308);"],
+         3, "dissimilarities must be finite", 2),
+    ])
+    def test_newick_file_faults_name_the_physical_line(
+        self, capsys, tmp_path, trees, lineno, message, code
+    ):
+        nw = tmp_path / "nw.txt"
+        nw.write_text("\n" + "\n".join(trees) + "\n")
+        got, out = run(capsys, "tree", "newick2ultra", str(nw))
+        assert got == code
+        assert envelope_of(out)["result"]["message"] == f"{nw}:{lineno}: {message}"
+
+    def test_newick_rows_are_12g(self, capsys, tmp_path):
+        # zeros, the least subnormal, 1e300, integers and ties, from trees
+        # of different shapes; row by row as the library writes each map
+        trees = ["((a:0,b:0):0,c:0);", "((a:5e-324,b:0):0,c:1e300):2;",
+                 "(a:3,(b:4,c:5)x:6);", "(a:0.1,b:0.1,c:0.2)y;", "((c:1e-300,a:1e-300):1,b:7e22);"]
+        nw, out_csv = tmp_path / "nw.txt", tmp_path / "u.csv"
+        nw.write_text("\n".join(trees) + "\n")
+        code, out = run(capsys, "tree", "newick2ultra", str(nw), "--out", str(out_csv))
+        assert code == 0
+        assert envelope_of(out)["result"] == {"n_trees": 5, "n_leaves": 3,
+                                              "leaf_names": ["a", "b", "c"]}
+        maps = [cophenetic(parse_newick(t)).values for t in trees]
+        assert out_csv.read_text().splitlines() == [
+            ",".join(f"{v:.12g}" for v in u) for u in maps]
+        values = [0.0, 5e-324, 1e300, 3.0, 12.0, 0.2, 0.2, 0.30000000000000004]
+        assert ",".join(["%.12g"] * len(values)) % tuple(values) == ",".join(
+            f"{v:.12g}" for v in values)
 
     @pytest.mark.parametrize("height", ["nan", "inf"])
     def test_simulate_non_finite_height_is_5(self, capsys, height):

@@ -289,13 +289,16 @@ def caterpillar(n):
 
 
 @st.composite
-def newick_strings(draw):
-    """A random Newick tree on 2-40 uniquely named leaves: multifurcations,
-    named and unnamed internal nodes, tied and zero lengths, and a root
-    length present or absent."""
-    n = draw(st.integers(2, 40))
+def newick_strings(draw, names=None):
+    """A random Newick tree on 2-40 uniquely named leaves, or on the given
+    names in a drawn order: multifurcations, named and unnamed internal
+    nodes, tied and zero lengths, and a root length present or absent."""
     label = st.text("abcXYZ019_", min_size=1, max_size=3)
-    names = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    if names is None:
+        n = draw(st.integers(2, 40))
+        names = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    else:
+        names = draw(st.permutations(names))
     length = st.one_of(
         st.floats(0.0, 10.0), st.integers(0, 3).map(float)
     ).map(lambda x: f":{x!r}")
@@ -309,6 +312,35 @@ def newick_strings(draw):
     if draw(st.booleans()):
         root = root[: root.rindex(":")]
     return root + ";"
+
+
+@st.composite
+def newick_files(draw):
+    """1-6 random Newick trees of different shapes on one leaf set."""
+    names = draw(st.lists(st.text("abcXYZ019_", min_size=1, max_size=3),
+                          min_size=2, max_size=40, unique=True))
+    return draw(st.lists(newick_strings(names), min_size=1, max_size=6))
+
+
+def random_newick(rng, names):
+    """A seeded random tree on names, joining 2-4 adjacent clades at a time,
+    with lengths 0-2 (so ties and zeros) and some internal labels."""
+    clades = [f"{name}:{rng.integers(0, 3)}" for name in names]
+    while len(clades) > 1:
+        k = int(rng.integers(2, min(4, len(clades)) + 1))
+        i = int(rng.integers(0, len(clades) - k + 1))
+        inner = "x" if rng.integers(2) else ""
+        clades[i : i + k] = [f"({','.join(clades[i : i + k])}){inner}:{rng.integers(0, 3)}"]
+    return clades[0] + ";"
+
+
+def stacked_rows(texts):
+    """The cophenetic maps of the Newick texts, one stacked kernel pass."""
+    forest = treeio._Forest()
+    for text in texts:
+        names, _, length, depth = treeio._scan(text)
+        assert forest.add(names, length, depth)
+    return forest.maps()
 
 
 class TestParsing:
@@ -604,6 +636,44 @@ class TestMergeLists:
         assert len(lists) == 18 and len(set(ids)) == 15
         for (id1, key1), (id2, key2) in combinations(zip(ids, keys), 2):
             assert (key1 == key2) == (id1 == id2)
+
+
+class TestStackedCophenetic:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(newick_files())
+    def test_rows_match_the_reference_per_tree(self, texts):
+        for row, text in zip(stacked_rows(texts), texts):
+            want = np.array(reference_cophenetic_values(parse_newick(text)))
+            assert row.tobytes() == want.tobytes(), text
+
+    def test_depths_from_1_to_the_caterpillars(self):
+        n = treeio.MAX_DEPTH + 1
+        names = _leaf_names(n)
+        rng = np.random.default_rng(31)
+        texts = [
+            caterpillar(n)[0],  # nests MAX_DEPTH clades
+            "(" + ",".join(f"{name}:{k % 3}" for k, name in enumerate(names)) + "):1;",
+            random_newick(rng, names[::-1]),
+            random_newick(rng, rng.permutation(names)),
+        ]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(n + 1000)  # the reference walk recurses once per level
+        try:
+            want = [reference_cophenetic_values(parse_newick(text)) for text in texts]
+        finally:
+            sys.setrecursionlimit(limit)
+        for row, w in zip(stacked_rows(texts), want):
+            assert row.tobytes() == np.array(w).tobytes()
+        assert stacked_rows(texts[:1]).tobytes() == np.array(want[0]).tobytes()
+
+    def test_refuses_other_leaf_names(self):
+        forest = treeio._Forest()
+        assert forest.add(["a", "b"], [1.0, 2.0, 0.0], [1, 1, 0])
+        assert not forest.add(["a", "c"], [1.0, 2.0, 0.0], [1, 1, 0])
+        assert not forest.add(["a", "b", "c"], [1.0, 2.0, 3.0, 0.0], [1, 1, 1, 0])
+        with pytest.raises(ValueError, match="need at least 2 leaves"):
+            forest.add(["a"], [1.0], [0])
+        assert forest.maps().tolist() == [[3.0]]
 
 
 class TestPostorderWalks:
