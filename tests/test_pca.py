@@ -1,5 +1,8 @@
 """Tropical principal polytopes: oracle equivalence and structure checks."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -62,7 +65,7 @@ def reference_fit(S, s):
                     continue
                 trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
                 trial_obj = reference_objective(vertices(trial), S)
-                if trial_obj < obj - 1e-12:
+                if trial_obj < obj - 1e-12 * obj:
                     current, obj = trial, trial_obj
                     trace.append(obj)
                     improved = True
@@ -71,6 +74,28 @@ def reference_fit(S, s):
                 break
     projections = [reference_projection(u, vertices(current))[1] for u in S]
     return tuple(current), obj, tuple(trace), projections
+
+
+def per_trial_fit(X, s):
+    """The exchange loop that the stacked candidate blocks replaced, one
+    _residual call per trial: (vertex indices, objective, trace)."""
+    V = X - X[:, :1]
+    current = pca._farthest_first(X, s)
+    obj = pca._residual(X, V[current])
+    trace = [obj]
+    while True:
+        for pos, cand in product(range(s), range(len(X))):
+            if cand in current:
+                continue
+            trial = sorted(current[:pos] + [cand] + current[pos + 1 :])
+            trial_obj = pca._residual(X, V[trial])
+            if trial_obj < obj - 1e-12 * obj:
+                current, obj = trial, trial_obj
+                trace.append(obj)
+                break
+        else:
+            break
+    return tuple(current), obj.hex(), tuple(t.hex() for t in trace)
 
 
 def reference_start(X, s):
@@ -170,7 +195,7 @@ class TestMatchesPerPointReference:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_fit_bit_for_bit(self, seed):
         for S in seeded_samples(seed, 9):
-            for s in range(1, 5):
+            for s in (*range(1, 5), len(S)):
                 model = fit_principal_polytope(S, s)
                 indices, obj, trace, projections = reference_fit(S, s)
                 assert model.vertex_indices == indices
@@ -193,6 +218,28 @@ class TestMatchesPerPointReference:
             for s in range(1, min(len(X), 12) + 1):
                 assert pca._farthest_first(X, s) == reference_start(X, s)
 
+    @pytest.mark.parametrize("kind", ["trees", "trees to 0.1", "integers"])
+    def test_stacked_blocks_bit_for_bit(self, kind):
+        # 20-leaf trees, n = 40: 8 candidates per block, so the 37 free
+        # candidates of a 3-vertex position span five blocks
+        rng = np.random.default_rng(7)
+        for seed in (1, 2):
+            if kind == "integers":  # many tied residuals
+                X = rng.integers(0, 3, size=(60, 190)).astype(float)
+            else:
+                X = np.array([p.coords for p in ultrametric_points(20, seed, 40)])
+                if kind == "trees to 0.1":
+                    X = np.round(X, 1)
+            assert max(1, pca._BLOCK_FLOATS // X.size) < len(X) - 3
+            S = [TropicalPoint(tuple(r)) for r in X.tolist()]
+            for s in (1, 3, len(X)):
+                model = fit_principal_polytope(S, s)
+                assert (
+                    model.vertex_indices,
+                    model.objective.hex(),
+                    tuple(t.hex() for t in model.trace),
+                ) == per_trial_fit(X, s)
+
     def test_farthest_pair_tie_takes_first_pair(self):
         # the search starts at (0, 5), the first of the tied pairs
         S = [TropicalPoint(p) for p in TIED_FARTHEST]
@@ -205,6 +252,35 @@ class TestMatchesPerPointReference:
             D = model.polytope.matrix()
             expected = [tuple(reference_weights(D, u)[1:].tolist()) for u in S]
             assert pca_coordinates(model, S) == expected
+
+
+def sample_around_medoid(n, e):
+    """Row 0 is zero and the others are +-1 times unit vectors, so row 0 has
+    the least distance sum and a 1-vertex fit makes one scan."""
+    X = np.zeros((n, e))
+    X[1:] = np.tile(np.vstack([np.eye(e), -np.eye(e)]), (n // (2 * e) + 1, 1))[: n - 1]
+    return [TropicalPoint(tuple(r)) for r in X.tolist()]
+
+
+@pytest.mark.parametrize(
+    "make_sample, s",
+    [
+        # an (n, n, e) cube would take 21.9 MB
+        (lambda: ultrametric_points(20, 3, 120), 3),
+        # an (n, n) table would take 8 MB
+        (lambda: sample_around_medoid(1000, 6), 1),
+    ],
+    ids=["n=120", "n=1000"],
+)
+def test_fit_memory_stays_blocked(make_sample, s):
+    S = make_sample()
+    tracemalloc.start()
+    try:
+        fit_principal_polytope(S, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 class TestCoordinates:
