@@ -15,13 +15,13 @@ from tropstat import (
     SimConfig,
     TropicalPoint,
     check_ultrametric_closure,
-    cophenetic,
     fermat_weber,
     fit_principal_polytope,
     project_onto_polytope,
     simulate_equidistant,
     trop_distance,
 )
+from tropstat.treeio import _cophenetic_maps
 
 
 def main():
@@ -36,9 +36,8 @@ def main():
     pca_distances = []
     for trial in range(args.trials):
         cfg = SimConfig(args.n_leaves, 1.0, args.seed + trial, args.sample_size)
-        sample = [
-            TropicalPoint(cophenetic(t).values) for t in simulate_equidistant(cfg)
-        ]
+        X, _ = _cophenetic_maps(simulate_equidistant(cfg))  # one stacked pass
+        sample = [TropicalPoint(row) for row in X.tolist()]
         res = fermat_weber(sample)
         ok = check_ultrametric_closure(res, args.n_leaves, tol=1e-6)
         closures += ok

@@ -11,13 +11,13 @@ import csv
 from tropstat import (
     SimConfig,
     TropicalPoint,
-    cophenetic,
     exhaustive_principal_polytope,
     fit_principal_polytope,
     pca_coordinates,
     simulate_equidistant,
 )
 from tropstat.cli import write_svg
+from tropstat.treeio import _cophenetic_maps
 
 
 def main():
@@ -29,7 +29,8 @@ def main():
     args = parser.parse_args()
 
     cfg = SimConfig(args.n_leaves, 1.0, args.seed, args.count)
-    sample = [TropicalPoint(cophenetic(t).values) for t in simulate_equidistant(cfg)]
+    X, _ = _cophenetic_maps(simulate_equidistant(cfg))  # one stacked pass
+    sample = [TropicalPoint(row) for row in X.tolist()]
     model = fit_principal_polytope(sample, 3)
     print(f"objective: {model.objective:.6f}")
     print(f"vertices (sample indices): {model.vertex_indices}")

@@ -2,7 +2,8 @@
 
 Streams are driven by numpy's PCG64 generator, seeded explicitly, so a
 given SimConfig always reproduces the same tree sequence.  A tree is drawn
-as its merge list, and a PhyloTree is built only where one is asked for.
+as its merge list, and its PhyloTree lists are written from the merges
+only where a tree is asked for.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def _merge_stream(
 ) -> Iterator[list[tuple[int, int, float]]]:
     """Endless stream of random equidistant trees of the given height, each
     as its merge list (a, b, h), a cluster named by its smallest leaf
-    position and a < b (see treeio._tree_from_merges).
+    position and a < b; treeio._tree_from_merges writes a merge list's
+    PhyloTree, the first cluster's nodes before the second's.
 
     N-1 merge heights are sorted uniforms on (0, height), rescaled so the
     root sits exactly at height; merging pairs are chosen uniformly from
@@ -112,6 +114,6 @@ def make_two_class_sample(
         names = _leaf_names(cfgB.n_leaves)
         b_trees = [_tree_from_merges(m, names) for m in kept]
     X, names = _cophenetic_maps(a_trees + b_trees)
-    ultrametrics = [DissimilarityMap(len(names), tuple(row), tuple(names)) for row in X.tolist()]
+    ultrametrics = [DissimilarityMap(len(names), row, tuple(names)) for row in X]
     labels = [0] * len(a_trees) + [1] * len(b_trees)
     return TwoClassSample(ultrametrics, labels)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,70 +33,43 @@ class NewickError(ValueError):
 
 
 @dataclass
-class TreeNode:
-    name: Optional[str] = None
-    length: float = 0.0
-    children: list["TreeNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass
 class PhyloTree:
-    """Rooted, leaf-labeled tree with nonnegative branch lengths."""
+    """Rooted, leaf-labeled tree with nonnegative branch lengths, held as
+    the level sequence _scan reads from Newick text:
 
-    root: TreeNode
+    - names: the leaf names, in text order;
+    - labels: the clade labels, in close-paren order, None where absent;
+    - length: each node's branch length, in postorder;
+    - depth: each node's depth, in postorder, the root's 0.
+
+    A clade follows its last child in postorder, one level up, so the
+    depths determine the tree (see _leaf_mask and _parents).
+    """
+
+    names: list[str]
+    labels: list[Optional[str]]
+    length: list[float]
+    depth: list[int]
 
     def __post_init__(self):
-        names = self.leaf_names()
-        if len(names) != len(set(names)):
+        if len(set(self.names)) < len(self.names):
             raise ValueError("duplicate leaf labels")
 
     def leaf_names(self) -> list[str]:
-        return sorted(node.name or "" for node in _postorder(self.root) if node.is_leaf)
+        return sorted(self.names)
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_names())
-
-
-def _postorder(root: TreeNode) -> list[TreeNode]:
-    """Every node of the tree at root, each child before its parent and
-    children left to right; an explicit stack, so any depth is walked."""
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    order.reverse()
-    return order
+        return len(self.names)
 
 
 def parse_newick(text: str) -> PhyloTree:
     """Parse one Newick tree ("name:length" style, semicolon-terminated)."""
-    names, labels, length, depth = _scan(text)
-    names, labels = iter(names), iter(labels)
-    below = [[] for _ in range(max(depth) + 2)]  # per depth, the nodes awaiting their parent
-    last = -1  # the previous node's depth
-    for x, d in zip(length, depth):
-        if d < last:  # a clade, one level above its last child
-            node = TreeNode(next(labels), x, below[d + 1])
-            below[d + 1] = []
-        else:
-            node = TreeNode(next(names), x)
-        below[d].append(node)
-        last = d
-    return PhyloTree(below[0][0])
+    return PhyloTree(*_scan(text))
 
 
 def _scan(text: str) -> tuple[list[str], list[Optional[str]], list[float], list[int]]:
-    """One Newick tree as flat lists: its leaf names in text order, its
-    clade labels (None where absent) in close-paren order, and the branch
-    length and depth of every node in postorder.  A clade follows its last
-    child in postorder, one level up, so these lists determine the tree
-    (see _leaf_mask and _parents).
+    """One Newick tree as PhyloTree's four lists.
 
     One left-to-right scan with a stack of the open clades' "(" offsets; a
     tree nesting more than MAX_DEPTH clades is refused at the "(" that opens
@@ -179,20 +152,36 @@ def _parents(depth: np.ndarray) -> np.ndarray:
     return parent
 
 
+def _fold(t: PhyloTree, leaf, clade):
+    """The root's value of a bottom-up pass over t: leaf(name, length) at
+    each leaf, and clade(children, label, length) at each clade, with its
+    children's values in text order.  Each level keeps the values still
+    waiting for their parent, and a clade takes the whole level below it."""
+    names, labels = iter(t.names), iter(t.labels)
+    below = [[] for _ in range(max(t.depth) + 2)]
+    last = -1  # the previous node's depth
+    for x, d in zip(t.length, t.depth):
+        if d < last:  # a clade, one level above its last child
+            value = clade(below[d + 1], next(labels), x)
+            below[d + 1] = []
+        else:
+            value = leaf(next(names), x)
+        below[d].append(value)
+        last = d
+    return below[0][0]
+
+
 def serialize_newick(t: PhyloTree) -> str:
     """Canonical Newick string: children ordered by smallest leaf label."""
-    done: dict[int, tuple[str, str]] = {}  # node id -> (smallest leaf label, text)
-    for node in _postorder(t.root):
-        if node.is_leaf:
-            done[id(node)] = (node.name or "", node.name)
-            continue
-        kids = [(*done.pop(id(ch)), ch.length) for ch in node.children]
+
+    def clade(kids, label, x):  # each kid is (smallest leaf label, text, length)
         kids.sort(key=lambda kid: kid[0])
-        body = ",".join(f"{text}:{_fmt_len(x)}" for _, text, x in kids)
-        done[id(node)] = (kids[0][0], f"({body}){node.name or ''}")
-    text = done[id(t.root)][1]
-    if t.root.length != 0.0:
-        text += ":" + _fmt_len(t.root.length)
+        body = ",".join(f"{text}:{_fmt_len(y)}" for _, text, y in kids)
+        return kids[0][0], f"({body}){label or ''}", x
+
+    _, text, x = _fold(t, lambda name, x: (name, name, x), clade)
+    if x != 0.0:
+        text += ":" + _fmt_len(x)
     return text + ";"
 
 
@@ -263,7 +252,7 @@ class UltrametricPoint(DissimilarityMap):
 def cophenetic(t: PhyloTree) -> DissimilarityMap:
     """Path-length dissimilarity map of a tree, leaves sorted by name."""
     X, names = _cophenetic_maps([t])
-    return DissimilarityMap(len(names), tuple(X[0].tolist()), tuple(names))
+    return DissimilarityMap(len(names), X[0], tuple(names))
 
 
 def _cophenetic_maps(trees) -> tuple[np.ndarray, list[str]]:
@@ -271,17 +260,7 @@ def _cophenetic_maps(trees) -> tuple[np.ndarray, list[str]]:
     their sorted leaf names."""
     forest = _Forest()
     for t in trees:
-        names, length, depth = [], [], []
-        stack = [(t.root, 0)]  # _postorder, reversed, with each node's depth
-        while stack:
-            node, d = stack.pop()
-            if not node.children:
-                names.append(node.name or "")
-            length.append(node.length)
-            depth.append(d)
-            stack.extend((ch, d + 1) for ch in node.children)
-        names.reverse(), length.reverse(), depth.reverse()
-        if not forest.add(names, length, depth):
+        if not forest.add(t.names, t.length, t.depth):
             raise ValueError("trees differ in their leaf names")
     return forest.maps(), forest.names
 
@@ -377,14 +356,13 @@ class _Forest:
 
 def is_equidistant(t: PhyloTree, tol: float = STRUCT_TOL) -> tuple[bool, float]:
     """Whether all root-to-leaf path lengths agree within tol, plus the height."""
-    above = {id(t.root): 0.0}  # node id -> path length from the root to its parent
-    depths: list[float] = []
-    for node in reversed(_postorder(t.root)):
-        acc = above.pop(id(node)) + node.length
-        if node.is_leaf:
-            depths.append(acc)
-        for ch in node.children:
-            above[id(ch)] = acc
+    depth = np.asarray(t.depth)
+    parent = _parents(depth).tolist()
+    # root-down, so each parent's path length is known before its children's
+    path = [0.0] * len(depth)
+    for node in reversed(range(len(depth))):
+        path[node] = path[parent[node]] + t.length[node]
+    depths = [path[node] for node in np.flatnonzero(_leaf_mask(depth)).tolist()]
     height = max(depths)
     return (height - min(depths)) <= tol, height
 
@@ -483,13 +461,26 @@ def _build_tree(values, names) -> PhyloTree:
 def _tree_from_merges(merges, names) -> PhyloTree:
     """The tree of a merge list (a, b, h) over the leaf names: clusters are
     named by their smallest leaf position, a < b, and join at height h."""
-    nodes = [TreeNode(name=name) for name in names]
-    heights = [0.0] * len(names)
-    for a, b, h in merges:
-        nodes[a].length = h - heights[a]
-        nodes[b].length = h - heights[b]
-        nodes[a], heights[a] = TreeNode(children=[nodes[a], nodes[b]]), h
-    return PhyloTree(nodes[0])
+    n = len(names)
+    nodes = [[leaf] for leaf in range(n)]  # each cluster's nodes in postorder
+    heights = [0.0] * n
+    parent, length = [0] * (2 * n - 1), [0.0] * (2 * n - 1)
+    for k, (a, b, h) in enumerate(merges, n):  # node k is this merge's clade
+        for c in (a, b):
+            parent[nodes[c][-1]], length[nodes[c][-1]] = k, h - heights[c]
+        nodes[a] += nodes[b]
+        nodes[a].append(k)
+        heights[a] = h
+    depth = [0] * (2 * n - 1)
+    for node in reversed(range(2 * n - 2)):  # a parent outnumbers its children
+        depth[node] = depth[parent[node]] + 1
+    order = nodes[0]
+    return PhyloTree(
+        [names[node] for node in order if node < n],
+        [None] * (n - 1),
+        [length[node] for node in order],
+        [depth[node] for node in order],
+    )
 
 
 def _newick(merges, names) -> str:
@@ -514,11 +505,4 @@ def _clades(merges) -> frozenset[int]:
 
 def topology_id(t: PhyloTree) -> str:
     """Canonical label-set nesting string, independent of branch lengths."""
-    ids: dict[int, str] = {}  # node id -> its subtree's string
-    for node in _postorder(t.root):
-        if node.is_leaf:
-            ids[id(node)] = node.name or ""
-        else:
-            kids = sorted(ids.pop(id(ch)) for ch in node.children)
-            ids[id(node)] = "(" + ",".join(kids) + ")"
-    return ids[id(t.root)]
+    return _fold(t, lambda name, _: name, lambda kids, *_: f"({','.join(sorted(kids))})")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -157,3 +158,92 @@ def reference_projection(u, D) -> tuple[np.ndarray, TropicalPoint]:
     and the canonical projection."""
     lam = (u.as_array()[None, :] - D).min(axis=1)
     return lam, canonicalize((D + lam[:, None]).max(axis=0))
+
+
+# Reference trees are nested tuples (name, length, children), with None for
+# an unnamed clade.  These recursive walkers use none of the program's code:
+# they are the references for its passes over PhyloTree's four lists.
+
+
+def reference_leaf_names(t) -> list[str]:
+    out = []
+
+    def walk(node):
+        name, _, children = node
+        if not children:
+            out.append(name)
+        for ch in children:
+            walk(ch)
+
+    walk(t)
+    return sorted(out)
+
+
+def reference_serialize_newick(t) -> str:
+    def min_leaf(node):
+        name, _, children = node
+        return min(map(min_leaf, children)) if children else name
+
+    def fmt(node, with_length):
+        name, length, children = node
+        if not children:
+            body = name
+        else:
+            kids = sorted(children, key=min_leaf)
+            body = "(" + ",".join(fmt(ch, True) for ch in kids) + ")"
+            if name:
+                body += name
+        if with_length:
+            body += f":{length:.12g}"
+        return body
+
+    return fmt(t, t[1] != 0.0) + ";"
+
+
+def reference_cophenetic_values(t) -> tuple[float, ...]:
+    names = reference_leaf_names(t)
+    order = {name: k for k, name in enumerate(names)}
+    n = len(names)
+    dist = np.zeros((n, n))
+
+    def walk(node):
+        name, length, children = node
+        if not children:
+            return {order[name]: length}
+        merged = {}
+        for ch in children:
+            sub = walk(ch)
+            for i, di in merged.items():
+                for j, dj in sub.items():
+                    dist[i, j] = dist[j, i] = di + dj
+            merged.update(sub)
+        return {i: d + length for i, d in merged.items()}
+
+    walk(t)
+    return tuple(float(dist[i, j]) for i, j in combinations(range(n), 2))
+
+
+def reference_is_equidistant(t, tol=1e-9) -> tuple[bool, float]:
+    depths = []
+
+    def walk(node, acc):
+        _, length, children = node
+        acc += length
+        if not children:
+            depths.append(acc)
+        for ch in children:
+            walk(ch, acc)
+
+    walk(t, 0.0)
+    height = max(depths)
+    return (height - min(depths)) <= tol, height
+
+
+def reference_topology_id(t) -> str:
+    def walk(node):
+        name, _, children = node
+        if not children:
+            return name
+        return "(" + ",".join(sorted(walk(ch) for ch in children)) + ")"
+
+    return walk(t)

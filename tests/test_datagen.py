@@ -13,35 +13,40 @@ from tropstat import (
     three_point_check,
     topology_id,
 )
-from tropstat.treeio import PhyloTree, TreeNode, _leaf_names
+from tropstat.treeio import _leaf_names
+from conftest import (
+    reference_cophenetic_values,
+    reference_serialize_newick,
+    reference_topology_id,
+)
 
 
 def reference_tree_stream(rng, n, height):
-    """Random equidistant trees built node by node from a lineage list,
-    with the same generator calls in the same order as the merge stream."""
+    """Random equidistant reference tuple trees (see conftest.py) built from
+    a lineage list, with the same generator calls in the same order as the
+    merge stream."""
     while True:
         times = np.sort(rng.uniform(0.0, height, size=n - 1))
         times = times * (height / times[-1])
         times[-1] = height
-        lineages = [(TreeNode(name=nm), 0.0) for nm in _leaf_names(n)]
+        lineages = [(nm, [], 0.0) for nm in _leaf_names(n)]  # (name, children, height)
         for t in times:
             i, j = sorted(rng.choice(len(lineages), size=2, replace=False))
-            (na, ha), (nb, hb) = lineages[i], lineages[j]
-            na.length, nb.length = t - ha, t - hb
+            (na, ca, ha), (nb, cb, hb) = lineages[i], lineages[j]
             del lineages[j], lineages[i]
-            lineages.append((TreeNode(children=[na, nb]), float(t)))
-        yield PhyloTree(lineages[0][0])
+            lineages.append((None, [(na, t - ha, ca), (nb, t - hb, cb)], float(t)))
+        yield None, 0.0, lineages[0][1]
 
 
 def reference_two_class_b(cfg, separation):
     """Class B of make_two_class_sample at separation > 0, by rejection on
-    topology_id of the reference trees."""
+    reference_topology_id."""
     stream = reference_tree_stream(
         np.random.default_rng(cfg.seed), cfg.n_leaves, cfg.height * (1.0 + separation))
     trees = [next(stream)]
     while len(trees) < cfg.count:
         t = next(stream)
-        if topology_id(t) == topology_id(trees[0]):
+        if reference_topology_id(t) == reference_topology_id(trees[0]):
             trees.append(t)
     return trees
 
@@ -100,14 +105,14 @@ class TestMergeStream:
         stream = reference_tree_stream(np.random.default_rng(seed), n, height)
         for t in simulate_equidistant(SimConfig(n, height, seed, 30)):
             want = next(stream)
-            assert serialize_newick(t) == serialize_newick(want)
-            assert cophenetic(t).values == cophenetic(want).values
+            assert serialize_newick(t) == reference_serialize_newick(want)
+            assert cophenetic(t).values == reference_cophenetic_values(want)
 
     @pytest.mark.parametrize("n, seed, separation", [(4, 2, 0.5), (5, 6, 1.0), (4, 12, 2.0)])
     def test_class_b_matches_the_rejection_reference(self, n, seed, separation):
         cfgB = SimConfig(n, 1.0, seed, 8)
         s = make_two_class_sample(SimConfig(n, 1.0, 1, 3), cfgB, separation)
-        want = [cophenetic(t).values for t in reference_two_class_b(cfgB, separation)]
+        want = [reference_cophenetic_values(t) for t in reference_two_class_b(cfgB, separation)]
         assert [u.values for u in s.ultrametrics[3:]] == want
 
 

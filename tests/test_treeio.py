@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -27,8 +28,6 @@ from tropstat import (
 )
 from tropstat import treeio
 from tropstat.treeio import (
-    PhyloTree,
-    TreeNode,
     _build_tree,
     _clades,
     _leaf_names,
@@ -41,6 +40,11 @@ from conftest import (
     FIG_LEFT_VECTOR,
     FIG_RIGHT_NEWICK,
     FIG_RIGHT_VECTOR,
+    reference_cophenetic_values,
+    reference_is_equidistant,
+    reference_leaf_names,
+    reference_serialize_newick,
+    reference_topology_id,
     seeded_vectors,
     tied_ultrametric,
 )
@@ -62,13 +66,13 @@ def reference_three_point_check(vals, tol=1e-9):
 
 
 def reference_ultrametric_to_tree(u, tol=1e-9):
-    """The former cluster-list single linkage, kept as the reference."""
+    """The former cluster-list single linkage, kept as the reference; it
+    returns a reference tuple tree (see conftest.py)."""
     if not reference_three_point_check(u.values, tol=tol):
         raise ValueError("input fails the three-point condition")
     names = list(u.leaf_names)
-    clusters = [
-        (names[k], TreeNode(name=names[k]), 0.0, [k + 1]) for k in range(u.n_leaves)
-    ]
+    # each cluster: (smallest leaf name, its root's name and children, height, leaves)
+    clusters = [(names[k], (names[k], []), 0.0, [k + 1]) for k in range(u.n_leaves)]
     while len(clusters) > 1:
         best = None
         for a in range(len(clusters)):
@@ -78,102 +82,20 @@ def reference_ultrametric_to_tree(u, tol=1e-9):
                 if best is None or key < best[0]:
                     best = (key, a, b)
         (d, _, _), a, b = best
-        la, na, ha, ma = clusters[a]
-        lb, nb, hb, mb = clusters[b]
+        la, (na, ca), ha, ma = clusters[a]
+        lb, (nb, cb), hb, mb = clusters[b]
         h = d / 2.0
-        na.length = h - ha
-        nb.length = h - hb
-        merged = (min(la, lb), TreeNode(children=[na, nb]), h, ma + mb)
+        merged = (min(la, lb), (None, [(na, h - ha, ca), (nb, h - hb, cb)]), h, ma + mb)
         clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
         clusters.append(merged)
         clusters.sort(key=lambda c: c[0])
-    return PhyloTree(clusters[0][1])
-
-
-def reference_leaf_names(t):
-    """The former recursive walkers, kept as bit-for-bit references for the
-    postorder loops."""
-    out = []
-
-    def walk(node):
-        if node.is_leaf:
-            out.append(node.name or "")
-        for ch in node.children:
-            walk(ch)
-
-    walk(t.root)
-    return sorted(out)
-
-
-def reference_serialize_newick(t):
-    def min_leaf(node):
-        if node.is_leaf:
-            return node.name or ""
-        return min(min_leaf(ch) for ch in node.children)
-
-    def fmt(node, with_length):
-        if node.is_leaf:
-            body = node.name
-        else:
-            kids = sorted(node.children, key=min_leaf)
-            body = "(" + ",".join(fmt(ch, True) for ch in kids) + ")"
-            if node.name:
-                body += node.name
-        if with_length:
-            body += ":" + treeio._fmt_len(node.length)
-        return body
-
-    return fmt(t.root, t.root.length != 0.0) + ";"
-
-
-def reference_cophenetic_values(t):
-    names = reference_leaf_names(t)
-    order = {name: k for k, name in enumerate(names)}
-    n = len(names)
-    dist = np.zeros((n, n))
-
-    def walk(node):
-        if node.is_leaf:
-            return {order[node.name]: node.length}
-        merged = {}
-        for ch in node.children:
-            sub = walk(ch)
-            for i, di in merged.items():
-                for j, dj in sub.items():
-                    dist[i, j] = dist[j, i] = di + dj
-            merged.update(sub)
-        return {i: d + node.length for i, d in merged.items()}
-
-    walk(t.root)
-    return tuple(float(dist[i, j]) for i, j in combinations(range(n), 2))
-
-
-def reference_is_equidistant(t, tol=1e-9):
-    depths = []
-
-    def walk(node, acc):
-        acc += node.length
-        if node.is_leaf:
-            depths.append(acc)
-        for ch in node.children:
-            walk(ch, acc)
-
-    walk(t.root, 0.0)
-    height = max(depths)
-    return (height - min(depths)) <= tol, height
-
-
-def reference_topology_id(t):
-    def walk(node):
-        if node.is_leaf:
-            return node.name or ""
-        return "(" + ",".join(sorted(walk(ch) for ch in node.children)) + ")"
-
-    return walk(t.root)
+    name, children = clusters[0][1]
+    return name, 0.0, children
 
 
 def reference_parse_newick(text):
-    """The former recursive parser, kept as the reference for the scan."""
+    """The former recursive parser, kept as the reference for the scan; it
+    returns a reference tuple tree (see conftest.py)."""
     s = text.strip()
     pos = 0
 
@@ -181,13 +103,13 @@ def reference_parse_newick(text):
         raise NewickError(msg, at)
 
     def parse_clade(i):
-        node = TreeNode()
+        name, length, children = None, 0.0, []
         if i < len(s) and s[i] == "(":
             open_at = i
             i += 1
             while True:
                 child, i = parse_clade(i)
-                node.children.append(child)
+                children.append(child)
                 if i >= len(s):
                     error("unbalanced parentheses", open_at)
                 if s[i] == ",":
@@ -203,7 +125,7 @@ def reference_parse_newick(text):
             j += 1
         label = s[i:j].strip()
         if label:
-            node.name = label
+            name = label
         i = j
         # optional branch length
         if i < len(s) and s[i] == ":":
@@ -219,11 +141,10 @@ def reference_parse_newick(text):
                 error("branch length must be finite", i)
             if length < 0:
                 error("negative branch length", i)
-            node.length = length
             i = j
-        if node.is_leaf and not node.name:
+        if not children and not name:
             error("unnamed leaf", i)
-        return node, i
+        return (name, length, children), i
 
     if not s:
         raise NewickError("empty input", 0)
@@ -232,10 +153,26 @@ def reference_parse_newick(text):
         raise NewickError("missing terminating semicolon", pos)
     if s[pos + 1 :].strip():
         raise NewickError("trailing garbage after semicolon", pos + 1)
-    try:
-        return PhyloTree(root)
-    except ValueError as exc:
-        raise NewickError(str(exc), 0) from exc
+    names = reference_leaf_names(root)
+    if len(set(names)) < len(names):
+        raise NewickError("duplicate leaf labels", 0)
+    return root
+
+
+def reference_fields(t):
+    """PhyloTree's four lists of a reference tuple tree, by recursion."""
+    names, labels, length, depth = [], [], [], []
+
+    def walk(node, d):
+        name, x, children = node
+        for ch in children:
+            walk(ch, d + 1)
+        (labels if children else names).append(name)
+        length.append(x)
+        depth.append(d)
+
+    walk(t, 0)
+    return names, labels, length, depth
 
 
 NEWICK_EDGE_CASES = [
@@ -256,9 +193,7 @@ def newick_corpus():
     for k in range(300):
         tree = simulate_equidistant(SimConfig(3 + k % 12, 1.0, k))[0]
         if k % 2:
-            for node in treeio._postorder(tree.root):
-                if node.children:
-                    node.name = f"n{len(node.children)}"
+            tree.labels = ["n2"] * len(tree.labels)  # every simulated clade is binary
         trees.append(serialize_newick(tree))
     rng = np.random.default_rng(19)
     mutants = []
@@ -272,13 +207,22 @@ def newick_corpus():
     return trees + mutants + NEWICK_EDGE_CASES
 
 
-def parse_outcome(parse, text):
-    """The parsed tree, or the NewickError message and offset."""
-    try:
-        tree = parse(text)
-    except NewickError as exc:
-        return str(exc), exc.offset
-    return tree.root, serialize_newick(tree), topology_id(tree)
+def parse_outcome(text):
+    """The program's and the reference's outcome on text: the tree's four
+    lists, Newick text and topology id, or the NewickError message and
+    offset."""
+    outcomes = []
+    for parse, fields, serialize, topology in (
+        (parse_newick, lambda t: (t.names, t.labels, t.length, t.depth), serialize_newick, topology_id),
+        (reference_parse_newick, reference_fields, reference_serialize_newick, reference_topology_id),
+    ):
+        try:
+            tree = parse(text)
+        except NewickError as exc:
+            outcomes.append((str(exc), exc.offset))
+            continue
+        outcomes.append((fields(tree), serialize(tree), topology(tree)))
+    return outcomes
 
 
 def caterpillar(n):
@@ -381,9 +325,9 @@ class TestParsing:
     def test_scan_matches_the_recursive_reference(self):
         corpus, parsed = newick_corpus(), 0
         for text in corpus:
-            got = parse_outcome(parse_newick, text)
-            assert got == parse_outcome(reference_parse_newick, text), repr(text)
-            parsed += isinstance(got[0], TreeNode)
+            got, want = parse_outcome(text)
+            assert got == want, repr(text)
+            parsed += len(got) == 3
         assert 300 < parsed < len(corpus) - 1000  # both outcomes well exercised
 
     def test_parses_max_depth_open_clades(self):
@@ -460,6 +404,18 @@ class TestCophenetic:
     def test_map_rejects_negative_and_non_finite(self, bad, message):
         with pytest.raises(ValueError, match=f"must be {message}"):
             DissimilarityMap(3, (1.0, bad, 1.0), ("a", "b", "c"))
+
+    def test_map_is_built_from_the_kernel_row(self):
+        # the 1001-leaf caterpillar's map holds 500,500 floats; a map that
+        # copies them once more peaks about 12 MB above the kernel's 32 MB
+        t = parse_newick(caterpillar(treeio.MAX_DEPTH + 1)[0])
+        tracemalloc.start()
+        try:
+            cophenetic(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36e6
 
     def test_get_is_symmetric(self, fig_left_tree):
         u = cophenetic(fig_left_tree)
@@ -579,7 +535,7 @@ class TestReconstruction:
             n = treeio._leaves_for(len(v))
             u = DissimilarityMap(n, tuple(v.tolist()), tuple(_leaf_names(n)))
             try:
-                expected = serialize_newick(reference_ultrametric_to_tree(u, tol=tol))
+                expected = reference_serialize_newick(reference_ultrametric_to_tree(u, tol=tol))
             except ValueError:
                 with pytest.raises(ValueError):
                     ultrametric_to_tree(u, tol=tol)
@@ -643,7 +599,7 @@ class TestStackedCophenetic:
     @given(newick_files())
     def test_rows_match_the_reference_per_tree(self, texts):
         for row, text in zip(stacked_rows(texts), texts):
-            want = np.array(reference_cophenetic_values(parse_newick(text)))
+            want = np.array(reference_cophenetic_values(reference_parse_newick(text)))
             assert row.tobytes() == want.tobytes(), text
 
     def test_depths_from_1_to_the_caterpillars(self):
@@ -657,9 +613,9 @@ class TestStackedCophenetic:
             random_newick(rng, rng.permutation(names)),
         ]
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(n + 1000)  # the reference walk recurses once per level
+        sys.setrecursionlimit(n + 1000)  # the references recurse once per level
         try:
-            want = [reference_cophenetic_values(parse_newick(text)) for text in texts]
+            want = [reference_cophenetic_values(reference_parse_newick(text)) for text in texts]
         finally:
             sys.setrecursionlimit(limit)
         for row, w in zip(stacked_rows(texts), want):
@@ -680,12 +636,12 @@ class TestPostorderWalks:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(newick_strings())
     def test_match_recursive_references(self, text):
-        t = parse_newick(text)
-        assert t.leaf_names() == reference_leaf_names(t)
-        assert serialize_newick(t) == reference_serialize_newick(t)
-        assert topology_id(t) == reference_topology_id(t)
-        assert is_equidistant(t) == reference_is_equidistant(t)
-        assert cophenetic(t).values == reference_cophenetic_values(t)
+        t, ref = parse_newick(text), reference_parse_newick(text)
+        assert t.leaf_names() == reference_leaf_names(ref)
+        assert serialize_newick(t) == reference_serialize_newick(ref)
+        assert topology_id(t) == reference_topology_id(ref)
+        assert is_equidistant(t) == reference_is_equidistant(ref)
+        assert cophenetic(t).values == reference_cophenetic_values(ref)
 
     def test_deeper_than_the_recursion_limit(self):
         # leaf k joins the caterpillar at height (k - 1) / (n - 1), k >= 2
