@@ -52,14 +52,23 @@ def _merge_stream(
     N-1 merge heights are sorted uniforms on (0, height), rescaled so the
     root sits exactly at height; merging pairs are chosen uniformly from
     the live lineages, listed leaves first, then clusters as they formed.
+
+    A tree's pairs come from one rng.integers call on the draws that
+    rng.choice(m, 2, replace=False) makes for m live lineages: Floyd's x in
+    [0, m-2] and y in [0, m-1], the pair (x, m-1) if y == x, then one draw in
+    [0, 2) that shuffles the pair.  The pair is sorted, but that shuffle
+    draw is still made, so the generator's stream is choice's.
     """
+    m = np.arange(n, 1, -1)
+    highs = np.column_stack([m - 1, m, np.full_like(m, 2)]).ravel()
     while True:
         times = np.sort(rng.uniform(0.0, height, size=n - 1))
         times = times * (height / times[-1])
         times[-1] = height  # root exactly at the configured height
+        draws = rng.integers(0, highs).reshape(-1, 3).tolist()
         lineages, merges = list(range(n)), []
-        for t in times.tolist():
-            i, j = sorted(rng.choice(len(lineages), size=2, replace=False).tolist())
+        for t, (x, y, _) in zip(times.tolist(), draws):
+            i, j = (x, len(lineages) - 1) if y == x else sorted((x, y))
             a, b = sorted((lineages[i], lineages[j]))
             del lineages[j], lineages[i]  # i < j
             lineages.append(a)

@@ -43,7 +43,8 @@ class PhyloTree:
     - depth: each node's depth, in postorder, the root's 0.
 
     A clade follows its last child in postorder, one level up, so the
-    depths determine the tree (see _leaf_mask and _parents).
+    depths determine the tree (see _leaf_mask and _parents); lists that are
+    not one tree's raise ValueError.
     """
 
     names: list[str]
@@ -54,6 +55,16 @@ class PhyloTree:
     def __post_init__(self):
         if len(set(self.names)) < len(self.names):
             raise ValueError("duplicate leaf labels")
+        size = len(self.names) + len(self.labels)
+        if len(self.length) != size or len(self.depth) != size:
+            raise ValueError("need one length and one depth per leaf name and clade label")
+        depth = np.asarray(self.depth)
+        if np.count_nonzero(_leaf_mask(depth)) != len(self.names):
+            raise ValueError("the depths make a leaf count other than the names'")
+        if depth[-1] != 0 or (depth[:-1] < 1).any():
+            raise ValueError("only the last node, the root, may have depth 0")
+        if (depth[1:] < depth[:-1] - 1).any():
+            raise ValueError("a node is more than one level above the node before it")
 
     def leaf_names(self) -> list[str]:
         return sorted(self.names)

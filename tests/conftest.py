@@ -247,3 +247,30 @@ def reference_topology_id(t) -> str:
         return "(" + ",".join(sorted(walk(ch) for ch in children)) + ")"
 
     return walk(t)
+
+
+def reference_draws(rng, n, height):
+    """Endless per-tree draws of the merge stream, one rng.choice call per
+    merge: each tree's merge heights, sorted uniforms rescaled so the root
+    sits at height, each with the sorted positions i < j of the two lineages
+    that merge among the m = n, n-1, ..., 2 live ones."""
+    while True:
+        times = np.sort(rng.uniform(0.0, height, size=n - 1))
+        times = times * (height / times[-1])
+        times[-1] = height
+        yield [(float(t), *sorted(rng.choice(n - k, size=2, replace=False).tolist()))
+               for k, t in enumerate(times)]
+
+
+def reference_merge_stream(rng, n, height):
+    """Endless merge lists (a, b, h) of reference_draws' trees, a cluster
+    named by its smallest leaf position; live lineages are listed leaves
+    first, then clusters as they formed."""
+    for tree in reference_draws(rng, n, height):
+        lineages, merges = list(range(n)), []
+        for t, i, j in tree:
+            a, b = sorted((lineages[i], lineages[j]))
+            del lineages[j], lineages[i]
+            lineages.append(a)
+            merges.append((a, b, t))
+        yield merges

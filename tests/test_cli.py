@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_points
-from conftest import src_env
+from conftest import reference_merge_stream, src_env
 from tropstat import cli, treeio
 from tropstat.cli import main
 from tropstat import (
@@ -721,6 +721,16 @@ class TestTreeCommands:
         assert out_file.read_text().splitlines() == [serialize_newick(t) for t in trees]
         assert envelope_of(out)["result"]["distinct_topologies"] == len(
             {topology_id(t) for t in trees})
+
+    def test_simulate_writes_the_choice_stream_at_the_benchmark_shape(self, capsys, tmp_path):
+        out_file = tmp_path / "sim.nwk"
+        code, _ = run(capsys, "--seed", "11", "tree", "simulate", "--n", "20",
+                      "--count", "150", "--height", "2.5", "--out", str(out_file))
+        stream = reference_merge_stream(np.random.default_rng(11), 20, 2.5)
+        names = treeio._leaf_names(20)
+        assert code == 0
+        assert out_file.read_text() == "".join(
+            treeio._newick(next(stream), names) + "\n" for _ in range(150))
 
     def test_simulate_requires_n_and_count(self, capsys):
         code, _ = run(capsys, "tree", "simulate")

@@ -13,9 +13,11 @@ from tropstat import (
     three_point_check,
     topology_id,
 )
+from tropstat.datagen import _merge_stream
 from tropstat.treeio import _leaf_names
 from conftest import (
     reference_cophenetic_values,
+    reference_draws,
     reference_serialize_newick,
     reference_topology_id,
 )
@@ -23,15 +25,10 @@ from conftest import (
 
 def reference_tree_stream(rng, n, height):
     """Random equidistant reference tuple trees (see conftest.py) built from
-    a lineage list, with the same generator calls in the same order as the
-    merge stream."""
-    while True:
-        times = np.sort(rng.uniform(0.0, height, size=n - 1))
-        times = times * (height / times[-1])
-        times[-1] = height
+    a lineage list on reference_draws, one rng.choice call per merge."""
+    for tree in reference_draws(rng, n, height):
         lineages = [(nm, [], 0.0) for nm in _leaf_names(n)]  # (name, children, height)
-        for t in times:
-            i, j = sorted(rng.choice(len(lineages), size=2, replace=False))
+        for t, i, j in tree:
             (na, ca, ha), (nb, cb, hb) = lineages[i], lineages[j]
             del lineages[j], lineages[i]
             lineages.append((None, [(na, t - ha, ca), (nb, t - hb, cb)], float(t)))
@@ -100,13 +97,24 @@ class TestSimulation:
 
 
 class TestMergeStream:
-    @pytest.mark.parametrize("n, height, seed", [(3, 1.0, 0), (4, 2.5, 7), (9, 0.3, 11), (20, 1.0, 5)])
+    @pytest.mark.parametrize("n, height, seed", [
+        (3, 1.0, 0), (4, 2.5, 7), (9, 0.3, 11), (20, 1.0, 5), (50, 2.0, 3), (200, 1.5, 8)])
     def test_trees_match_the_lineage_reference(self, n, height, seed):
         stream = reference_tree_stream(np.random.default_rng(seed), n, height)
         for t in simulate_equidistant(SimConfig(n, height, seed, 30)):
             want = next(stream)
             assert serialize_newick(t) == reference_serialize_newick(want)
             assert cophenetic(t).values == reference_cophenetic_values(want)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 9), (7, 9), (20, 4), (50, 2)])
+    def test_generator_state_matches_the_reference(self, n, k):
+        """A stream that skipped the last merge's draws, whose pair is always
+        (0, 1), would match the first tree, then fall out of step."""
+        rng, ref = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        stream, want = _merge_stream(rng, n, 1.0), reference_tree_stream(ref, n, 1.0)
+        for _ in range(k):
+            next(stream), next(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n, seed, separation", [(4, 2, 0.5), (5, 6, 1.0), (4, 12, 2.0)])
     def test_class_b_matches_the_rejection_reference(self, n, seed, separation):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tropstat import (
     DissimilarityMap,
     NewickError,
+    PhyloTree,
     SimConfig,
     UltrametricPoint,
     cophenetic,
@@ -321,6 +322,15 @@ class TestParsing:
     def test_duplicate_leaves(self):
         with pytest.raises(NewickError):
             parse_newick("(a:1,a:1);")
+
+    @pytest.mark.parametrize("fields, message", [
+        ((["a", "b"], [], [1.0, 1.0, 0.0], [1, 1, 0]), "one length and one depth"),
+        ((["a", "b"], [None], [1.0, 1.0, 0.0], [1, 2, 0]), "more than one level above"),
+        ((["a", "b", "c"], [None], [1.0] * 3 + [0.0], [1, 1, 0, 0]), "only the last node"),
+    ])
+    def test_lists_that_are_not_one_tree_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            PhyloTree(*fields)
 
     def test_scan_matches_the_recursive_reference(self):
         corpus, parsed = newick_corpus(), 0
