@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -76,32 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}", EXIT_PARSE)
-
-
-class _Subparser:
-    """Stands in for a command's parser until a call names the command.
-    It records the arguments and defaults that build_parser gives it, and
-    builds the _Parser only when argparse hands it the command's arguments:
-    a call then builds two parsers, not ten, and building all ten took
-    most of a short call's time."""
-
-    def __init__(self, **kwargs):
-        self.kwargs = kwargs
-        self.arguments = []
-        self.defaults = {}
-
-    def add_argument(self, *args, **kwargs):
-        self.arguments.append((args, kwargs))
-
-    def set_defaults(self, **kwargs):
-        self.defaults.update(kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self.kwargs)
-        for a, kw in self.arguments:
-            parser.add_argument(*a, **kw)
-        parser.set_defaults(**self.defaults)
-        return parser.parse_known_args(args, namespace)
 
 
 def _round_floats(obj):
@@ -230,7 +205,7 @@ def _points(X: np.ndarray) -> list[TropicalPoint]:
         raise CliError(str(exc), EXIT_PARSE)
 
 
-def write_svg(path: str, coords, labels=None):
+def write_svg(path: str, coords):
     """Minimal scatter plot; one circle marker per sample point.  Each axis
     spans the points' range, at any scale; points that all share a
     coordinate sit in the middle of that axis."""
@@ -245,14 +220,12 @@ def write_svg(path: str, coords, labels=None):
         f'viewBox="0 0 {W} {H}">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
     ]
-    palette = ["#1f77b4", "#d62728"]
-    for idx, (x, y) in enumerate(coords):
+    for x, y in coords:
         fx = (x - lo_x) / span_x if span_x else 0.5
         fy = (y - lo_y) / span_y if span_y else 0.5
         px = pad + fx * (W - 2 * pad)
         py = H - pad - fy * (H - 2 * pad)
-        color = palette[labels[idx] % 2] if labels else palette[0]
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{color}"/>')
+        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="#1f77b4"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -511,7 +484,10 @@ def cmd_regress(args):
     return emit("regress", result, diagnostics, seed=args.seed or 0, quiet=args.quiet)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call in a process;
+    parsing leaves it unchanged, so each main call reuses it."""
     parser = _Parser(
         prog="tropstat",
         description="Tropical (max-plus) statistics over the projective torus "
@@ -522,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--header", action="store_true",
                         help="CSV inputs carry a header row")
     parser.add_argument("--quiet", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metric", help="tropical distance of two vectors")
     p.add_argument("a")

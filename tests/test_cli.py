@@ -819,7 +819,18 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
 
 
 class TestCommandParsers:
-    """build_parser builds a command's parser only when a call names it."""
+    """build_parser builds every command's parser once per process, and a
+    call leaves nothing in them for the next call."""
+
+    # non-default values for every command's options, so that one a call
+    # left in the parsers would show in a later call's outcome
+    WARM_UPS = [
+        ["--quiet", "--seed", "4", "--tol", "0.5", "metric", "1,1,1", "0,0,0"],
+        ["--header", "fw", "{head}", "--check-ultrametric", "3"],
+        ["svm", "train", "{svm}", "--mode", "soft", "--C", "10", "--model-out", "{model}"],
+        ["tree", "simulate", "--n", "4", "--count", "2", "--height", "3", "--out", "{nwk}"],
+        ["pca", "{u4}", "-s", "3", "--out-prefix", "{prefix}"],
+    ]
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -827,6 +838,7 @@ class TestCommandParsers:
         paths["svm"].write_text("0,1,2,0\n0,2,1.5,0\n0,-1,-2,1\n0,-2,-1.5,1\n")
         paths["head"].write_text("a,b,c\n0,1,2\n0,2,1\n0,0,3\n")
         write_u4_csv(paths["u4"])
+        paths.update(model=tmp_path / "m.json", nwk=tmp_path / "s.nwk", prefix=tmp_path / "p")
         return {name: str(path) for name, path in paths.items()}
 
     @pytest.mark.parametrize("argv", [
@@ -842,21 +854,24 @@ class TestCommandParsers:
         ["fw", "{u4}", "extra"], ["pca", "x.csv"], ["svm", "fit", "{svm}"],
         ["metric", "--help"], ["tree", "--help"], ["tree", "check"],
     ])
-    def test_same_outcome_as_eager_parsers(self, capsys, monkeypatch, files, argv):
-        # exit code and stdout (results, envelopes, help) are those of a
-        # parser whose nine command parsers are all built up front
-        def outcome():
+    def test_same_outcome_as_eager_parsers(self, capsys, files, argv):
+        # exit code and stdout (results, envelopes, help) on a cold cache,
+        # where this call builds the parsers, and on a warm one, after
+        # other calls with other option values
+        def outcome(argv):
             try:
                 code = main([a.format(**files) for a in argv])
             except SystemExit as exc:
                 code = f"SystemExit({exc.code})"
             return code, capsys.readouterr().out
 
-        lazy = outcome()
-        monkeypatch.setattr(cli, "_Subparser", cli._Parser)
-        assert lazy == outcome()
+        cli.build_parser.cache_clear()
+        cold = outcome(argv)
+        for warm_up in self.WARM_UPS:
+            assert outcome(warm_up)[0] == 0
+        assert outcome(argv) == cold
 
-    def test_a_call_builds_two_parsers(self, capsys, monkeypatch, files):
+    def test_only_the_first_call_builds_parsers(self, capsys, monkeypatch, files):
         built = []
         init = cli._Parser.__init__
 
@@ -865,8 +880,13 @@ class TestCommandParsers:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
         assert main(["svm", "train", files["svm"]]) == 0
-        assert built == ["tropstat", "tropstat svm"]
+        commands = ["metric", "fw", "frechet", "pca", "svm", "tree", "lda", "regress"]
+        assert built == ["tropstat"] + [f"tropstat {name}" for name in commands]
+        built.clear()
+        assert main(["metric", "0,1,2", "0,2,1"]) == 0
+        assert built == []
         capsys.readouterr()
 
 
